@@ -3,10 +3,9 @@
 //! The serial explorer's inner loop clones the executor once per
 //! explored choice and probes the dedup set once per visited state.
 //! Snapshots share heavy state through `Arc` (copy-on-write), and the
-//! dedup key is an incrementally maintained fingerprint. This
-//! experiment sweeps every kernel's buggy variant under the explorer
-//! (dedup on, schedule budget capped) and records states/second, wall
-//! time, snapshot bytes saved, and a peak-frontier-bytes estimate per
+//! dedup key is a lazily repaired fingerprint. This experiment sweeps
+//! every kernel's buggy variant under the explorer (dedup on, schedule
+//! budget capped) and records states/second, wall time and depth per
 //! kernel. The gate kernel's row keeps the fastest of a few runs, so
 //! the CI throughput gate compares a stable figure.
 //!
@@ -16,7 +15,7 @@
 
 use lfm_kernels::registry;
 use lfm_obs::json;
-use lfm_sim::{Executor, ExploreLimits, ExploreReport, Explorer};
+use lfm_sim::{ExploreLimits, ExploreReport, Explorer};
 use lfm_study::Table;
 
 /// Schedule budget used for the committed `BENCH_explore.json`
@@ -53,13 +52,6 @@ pub struct PerfRow {
     pub states_per_sec: f64,
     /// Deepest DFS stack observed.
     pub max_depth: u64,
-    /// Heap bytes the COW representation avoided copying.
-    pub snapshot_bytes_saved: u64,
-    /// Estimated peak bytes held by the DFS frontier:
-    /// `(max_depth + 1) * shallow snapshot size` of the root executor.
-    /// An estimate — snapshots deeper in the tree carry slightly larger
-    /// chunk-pointer tables — but a deterministic one.
-    pub peak_frontier_bytes: u64,
 }
 
 /// The full E-perf measurement.
@@ -81,8 +73,7 @@ impl PerfReport {
 }
 
 /// Field-for-field report equality, ignoring only the measured wall
-/// time. Unlike E-par's serial-vs-parallel check this also compares
-/// the COW accounting (`snapshot_bytes_saved`).
+/// time.
 pub(crate) fn reports_identical(a: &ExploreReport, b: &ExploreReport) -> bool {
     a.counts == b.counts
         && a.schedules_run == b.schedules_run
@@ -95,7 +86,6 @@ pub(crate) fn reports_identical(a: &ExploreReport, b: &ExploreReport) -> bool {
         && a.truncation == b.truncation
         && a.stats.branch_points == b.stats.branch_points
         && a.stats.snapshots == b.stats.snapshots
-        && a.stats.snapshot_bytes_saved == b.stats.snapshot_bytes_saved
         && a.stats.max_depth == b.stats.max_depth
         && a.stats.preemption_limited == b.stats.preemption_limited
         && a.est_total_schedules.to_bits() == b.est_total_schedules.to_bits()
@@ -116,7 +106,6 @@ pub fn perf_measure(max_schedules: u64) -> PerfReport {
     let mut rows = Vec::new();
     for kernel in registry::all() {
         let program = kernel.buggy();
-        let shallow = Executor::new(&program).snapshot_shallow_bytes();
         // The gate kernel keeps its fastest of GATE_REPS runs: single
         // runs on a busy host swing by 2x and more, and the minimum is
         // the standard estimate of what the code costs rather than what
@@ -139,8 +128,6 @@ pub fn perf_measure(max_schedules: u64) -> PerfReport {
             wall_us,
             states_per_sec: report.states_per_sec(),
             max_depth: report.stats.max_depth,
-            snapshot_bytes_saved: report.stats.snapshot_bytes_saved,
-            peak_frontier_bytes: (report.stats.max_depth + 1) * shallow,
         });
     }
 
@@ -165,15 +152,7 @@ pub fn perf_table(max_schedules: u64) -> Table {
             report.budget,
             report.host_parallelism
         ),
-        vec![
-            "kernel",
-            "family",
-            "schedules",
-            "states/sec",
-            "depth",
-            "bytes saved",
-            "peak frontier",
-        ],
+        vec!["kernel", "family", "schedules", "states/sec", "depth"],
     );
     for r in &report.rows {
         t.row(vec![
@@ -182,15 +161,9 @@ pub fn perf_table(max_schedules: u64) -> Table {
             r.schedules.to_string(),
             format!("{:.0}", r.states_per_sec),
             r.max_depth.to_string(),
-            r.snapshot_bytes_saved.to_string(),
-            r.peak_frontier_bytes.to_string(),
         ]);
     }
-    t.note(
-        "states/sec = visible steps / wall; `peak frontier` is \
-         (max_depth + 1) x the root executor's shallow snapshot size, a \
-         deterministic estimate of DFS memory",
-    );
+    t.note("states/sec = visible steps / wall");
     t.note(
         "throughput is a host property (see BENCH_explore.json for the \
          committed reference run)",
@@ -225,8 +198,7 @@ pub fn perf_json(
         let _ = write!(
             out,
             "{{\"kernel\":{},\"family\":{},\"schedules\":{},\"steps\":{},\"wall_us\":{},\
-             \"states_per_sec\":{},\"max_depth\":{},\"snapshot_bytes_saved\":{},\
-             \"peak_frontier_bytes\":{}}}",
+             \"states_per_sec\":{},\"max_depth\":{}}}",
             json::quote(r.kernel),
             json::quote(&r.family),
             r.schedules,
@@ -234,8 +206,6 @@ pub fn perf_json(
             r.wall_us,
             json::number_f64(r.states_per_sec),
             r.max_depth,
-            r.snapshot_bytes_saved,
-            r.peak_frontier_bytes,
         );
     }
     out.push_str("],\"dpor\":{");
@@ -371,15 +341,8 @@ mod tests {
         for r in &report.rows {
             assert!(r.schedules > 0, "{}: no schedules", r.kernel);
             assert!(r.steps > 0, "{}: no steps", r.kernel);
-            assert!(
-                r.peak_frontier_bytes >= r.max_depth,
-                "{}: frontier estimate below depth",
-                r.kernel
-            );
         }
-        // A deep clone always copies strictly more than a COW clone.
-        let gate = report.row(PERF_GATE_KERNEL).expect("gate kernel swept");
-        assert!(gate.snapshot_bytes_saved > 0, "COW saved nothing");
+        assert!(report.row(PERF_GATE_KERNEL).is_some(), "gate kernel swept");
     }
 
     #[test]

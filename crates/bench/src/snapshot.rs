@@ -39,7 +39,6 @@ pub fn obs_snapshot() -> String {
         let mut failures = 0u64;
         let mut branch_points = 0u64;
         let mut snapshots = 0u64;
-        let mut snapshot_bytes_saved = 0u64;
         let mut sleep_pruned = 0u64;
         let mut wall_us = 0u64;
         for kernel in registry::by_family(family) {
@@ -56,7 +55,6 @@ pub fn obs_snapshot() -> String {
             failures += report.counts.failures();
             branch_points += report.stats.branch_points;
             snapshots += report.stats.snapshots;
-            snapshot_bytes_saved += report.stats.snapshot_bytes_saved;
             sleep_pruned += report.sleep_pruned;
             wall_us += report.stats.wall.as_micros() as u64;
         }
@@ -75,8 +73,6 @@ pub fn obs_snapshot() -> String {
         push_field(&mut out, "branch_points", branch_points);
         out.push(',');
         push_field(&mut out, "snapshots", snapshots);
-        out.push(',');
-        push_field(&mut out, "snapshot_bytes_saved", snapshot_bytes_saved);
         out.push(',');
         push_field(&mut out, "sleep_pruned", sleep_pruned);
         out.push(',');
@@ -279,15 +275,6 @@ pub fn obs_snapshot() -> String {
         "states_per_sec",
         json::number_f64(gate.states_per_sec),
     );
-    out.push(',');
-    push_field(
-        &mut out,
-        "snapshot_bytes_saved_total",
-        perf.rows
-            .iter()
-            .map(|r| r.snapshot_bytes_saved)
-            .sum::<u64>(),
-    );
     out.push('}');
 
     // Observability overhead: the E-obs measurement — profiler +
@@ -348,8 +335,6 @@ mod tests {
             "\"obs\":{",
             "\"target_overhead_pct\":",
             "\"top_phase\":",
-            "\"snapshot_bytes_saved_total\":",
-            "\"snapshot_bytes_saved\":",
             "\"states_per_sec\":",
             "\"study\":",
             "\"T9\"",

@@ -967,7 +967,6 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
                         .row("states/sec", format!("{:.1}", buggy.states_per_sec()))
                         .row("branch points", buggy.stats.branch_points)
                         .row("snapshots", buggy.stats.snapshots)
-                        .row("snapshot bytes saved", buggy.stats.snapshot_bytes_saved)
                         .row("max depth", buggy.stats.max_depth)
                         .row("sleep-set prunes", buggy.sleep_pruned)
                         .row("dedup hits", buggy.states_deduped)
@@ -1255,7 +1254,6 @@ fn run_explore(
         let mut table = StatsTable::new(format!("explore stats ({id})"));
         table
             .row("states/sec", format!("{:.1}", report.states_per_sec()))
-            .row("snapshot bytes saved", report.stats.snapshot_bytes_saved)
             .row("dedup hits", report.states_deduped)
             .row("sleep-set prunes", report.sleep_pruned)
             .row("dpor prunes", report.dpor_pruned)

@@ -81,10 +81,6 @@ fn assert_identical(label: &str, a: &ExploreReport, b: &ExploreReport) {
         "{label}: preemption_limited"
     );
     assert_eq!(
-        a.stats.snapshot_bytes_saved, b.stats.snapshot_bytes_saved,
-        "{label}: snapshot_bytes_saved"
-    );
-    assert_eq!(
         a.stats.fused_steps, b.stats.fused_steps,
         "{label}: fused_steps"
     );

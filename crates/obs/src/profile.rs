@@ -4,7 +4,7 @@
 //! perturbing exploration results: the explorer tags each hot-path
 //! region with a [`Phase`] (snapshot cloning, interpreter stepping,
 //! state hashing, dedup probes, the detector pass, and the parallel
-//! coordinator's commit/steal/idle loops), and the profiler attributes
+//! explorer's splicing and waiting), and the profiler attributes
 //! elapsed nanoseconds to that phase.
 //!
 //! # Sampling and determinism
@@ -31,26 +31,28 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Snapshot work: copy-on-write clone/unshare or legacy deep clone.
+    /// Snapshot work: the copy-on-write clone of a branch point's
+    /// executor (unsharing what a child then writes is paid in `Step`).
     Snapshot,
     /// Interpreter stepping (`Exec::step` and the run-forward loop).
     Step,
-    /// Incremental state hashing (`state_key`).
+    /// Repairing the lazy state key's dirty components for a dedup
+    /// probe.
     Hash,
     /// Seen-set probe/insert for state dedup.
     Dedup,
     /// Detector pass over recorded events.
     Detect,
-    /// Parallel coordinator: committing speculative expansions.
+    /// Parallel explorer: splicing a finished subtree's results into
+    /// the serial-order report.
     Commit,
-    /// Parallel worker: claiming/stealing tasks from the queues.
-    Steal,
-    /// Parallel worker: parked waiting for work.
+    /// Parallel explorer: parked waiting for a subtree another thread
+    /// is searching.
     Idle,
 }
 
 /// Number of phases (length of [`Phase::ALL`]).
-pub const PHASES: usize = 8;
+pub const PHASES: usize = 7;
 
 impl Phase {
     /// Every phase, in display order.
@@ -61,7 +63,6 @@ impl Phase {
         Phase::Dedup,
         Phase::Detect,
         Phase::Commit,
-        Phase::Steal,
         Phase::Idle,
     ];
 
@@ -74,7 +75,6 @@ impl Phase {
             Phase::Dedup => "dedup",
             Phase::Detect => "detect",
             Phase::Commit => "commit",
-            Phase::Steal => "steal",
             Phase::Idle => "idle",
         }
     }
@@ -413,9 +413,9 @@ mod tests {
         assert!(twin.is_enabled());
         assert_eq!(twin.sample_shift(), 3);
         for _ in 0..16 {
-            twin.time(Phase::Steal, || ());
+            twin.time(Phase::Idle, || ());
         }
-        assert_eq!(twin.snapshot().get(Phase::Steal).sampled, 2);
+        assert_eq!(twin.snapshot().get(Phase::Idle).sampled, 2);
         let off = PhaseProfiler::disabled().like();
         assert!(!off.is_enabled());
     }
@@ -423,8 +423,8 @@ mod tests {
     #[test]
     fn extreme_shift_is_clamped() {
         let p = PhaseProfiler::sampling(200);
-        p.time(Phase::Steal, || ());
+        p.time(Phase::Idle, || ());
         // First entry (index 0) is always sampled.
-        assert_eq!(p.snapshot().get(Phase::Steal).sampled, 1);
+        assert_eq!(p.snapshot().get(Phase::Idle).sampled, 1);
     }
 }

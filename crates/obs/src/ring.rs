@@ -11,8 +11,11 @@
 //! The ring is lock-free-enough for the hot path: writers claim a slot
 //! with one relaxed `fetch_add` on the head counter and then lock only
 //! *their* slot, so concurrent emitters (ParExplorer workers via the
-//! coordinator, CLI scopes) contend only when they wrap onto the same
-//! slot — vanishingly rare with a capacity in the hundreds.
+//! coordinator, serve's connection handlers, CLI scopes) contend only
+//! when they wrap onto the same slot. Claiming and writing are two
+//! steps, so a writer delayed between them can reach its slot after a
+//! newer writer that wrapped onto it; under the slot lock a write
+//! therefore lands only when the slot holds an older event.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -137,7 +140,10 @@ impl Sink for FlightRecorder {
                 .map(|(k, v)| ((*k).to_owned(), v.to_owned_value()))
                 .collect(),
         };
-        *self.slots[idx].lock().expect("flight slot poisoned") = Some((seq, owned));
+        let mut slot = self.slots[idx].lock().expect("flight slot poisoned");
+        if slot.as_ref().is_none_or(|(held, _)| *held < seq) {
+            *slot = Some((seq, owned));
+        }
     }
 }
 
@@ -225,6 +231,45 @@ mod tests {
         rec.dump_jsonl(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 1);
+    }
+
+    /// An emitter claims its seq, then builds its owned copy of the
+    /// event before it writes the slot. Here the first emitter's big
+    /// payload keeps it building while a second emitter claims the next
+    /// seq for the same slot and writes a small event. The late, older
+    /// write must not replace the newer one.
+    #[test]
+    fn a_late_older_write_never_replaces_a_newer_event() {
+        let names: Vec<String> = (0..512).map(|i| format!("field_{i}")).collect();
+        let fields: Vec<(&str, Value<'_>)> = names
+            .iter()
+            .map(|n| (n.as_str(), Value::Str("a payload long enough to copy")))
+            .collect();
+        let slow = Event {
+            scope: "test",
+            name: "slow",
+            fields: &fields,
+        };
+        let rounds = 50;
+        let mut stale = 0;
+        for _ in 0..rounds {
+            let rec = FlightRecorder::with_capacity(1);
+            std::thread::scope(|s| {
+                s.spawn(|| rec.emit(&slow));
+                s.spawn(|| {
+                    while rec.recorded() == 0 {
+                        std::hint::spin_loop();
+                    }
+                    emit(&rec, 1);
+                });
+            });
+            let tail = rec.tail();
+            assert_eq!(tail.len(), 1);
+            if tail[0].0 != 1 {
+                stale += 1;
+            }
+        }
+        assert_eq!(stale, 0, "{stale} of {rounds} rounds kept the older event");
     }
 
     #[test]

@@ -57,6 +57,12 @@ pub enum BuildError {
         /// Variables declared.
         vars: usize,
     },
+    /// A thread writes more distinct locals than its inline table holds
+    /// ([`crate::MAX_LOCALS`]).
+    TooManyLocals {
+        /// Thread whose body is invalid.
+        thread: ThreadId,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -96,6 +102,13 @@ impl fmt::Display for BuildError {
                     f,
                     "program declares {vars} shared variables; at most {} are supported",
                     crate::MAX_VARS
+                )
+            }
+            BuildError::TooManyLocals { thread } => {
+                write!(
+                    f,
+                    "thread {thread} writes more than {} distinct locals",
+                    crate::MAX_LOCALS
                 )
             }
         }

@@ -7,10 +7,10 @@ use crate::error::ExecError;
 use crate::expr::Expr;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::footprint::Footprint;
-use crate::fxhash::Locals;
 use crate::ids::{
     mask_threads, thread_bit, thread_mask, CondId, MutexId, RwId, SemId, ThreadId, VarId,
 };
+use crate::locals::Locals;
 use crate::outcome::{BlockedOn, Outcome};
 use crate::program::{Instr, Program};
 use crate::pvec::PSeq;
@@ -107,6 +107,20 @@ fn hash_opt_thread(f: Fnv, t: Option<ThreadId>) -> Fnv {
     }
 }
 
+/// The schedule taken, as one flat vector. A clone reserves the
+/// source's capacity, so a snapshot costs one allocation and a memcpy,
+/// and the child's next pushes fit without growing.
+#[derive(Debug, Default)]
+struct ScheduleLog(Vec<ThreadId>);
+
+impl Clone for ScheduleLog {
+    fn clone(&self) -> ScheduleLog {
+        let mut log = Vec::with_capacity(self.0.capacity());
+        log.extend_from_slice(&self.0);
+        ScheduleLog(log)
+    }
+}
+
 /// The sync-object tables and the I/O journal, grouped behind a single
 /// `Arc`: they mutate rarely compared to shared variables and thread
 /// states, and grouping them cuts four atomic reference bumps (and the
@@ -132,11 +146,15 @@ struct ColdTables {
 ///
 /// A clone is O(pointers), not O(state): the program, the shared
 /// variables, every sync-object table, and each thread's state sit
-/// behind [`Arc`]s that the clone merely bumps, and the grow-only logs
-/// (schedule taken, recorded events) live in persistent chunked
-/// storage (`PSeq`). A mutation after a snapshot pays only for the
-/// component it touches, via `Arc::make_mut` — divergent futures of a
-/// branch point share everything they have not yet written.
+/// behind [`Arc`]s that the clone merely bumps. A mutation after a
+/// snapshot pays only for the component it touches, via
+/// `Arc::make_mut` — divergent futures of a branch point share
+/// everything they have not yet written. A thread's state holds no
+/// heap table of its own (its locals are inline), so unsharing it is
+/// close to a memcpy. The schedule taken is a flat log of small ids,
+/// copied whole with spare room; the recorded events, which only
+/// witness reconstruction keeps, live in persistent chunked storage
+/// (`PSeq`).
 #[derive(Debug, Clone)]
 pub struct Executor {
     program: Arc<Program>,
@@ -146,7 +164,7 @@ pub struct Executor {
     steps: usize,
     outcome: Option<Outcome>,
     last_scheduled: Option<ThreadId>,
-    taken: PSeq<ThreadId>,
+    taken: ScheduleLog,
     record: RecordMode,
     events: PSeq<Event>,
     fault: Option<FaultPlan>,
@@ -181,6 +199,14 @@ impl Executor {
                 })
             })
             .collect();
+        let hash = StateHash::with_sizes(
+            program.n_vars(),
+            program.n_mutexes(),
+            program.n_conds(),
+            program.n_rws(),
+            program.sem_init().len(),
+            n,
+        );
         let mut exec = Executor {
             vars: Arc::new(program.var_init().to_vec()),
             cold: Arc::new(ColdTables {
@@ -201,11 +227,11 @@ impl Executor {
             steps: 0,
             outcome: None,
             last_scheduled: None,
-            taken: PSeq::new(),
+            taken: ScheduleLog::default(),
             record,
             events: PSeq::new(),
             fault: None,
-            hash: StateHash::default(),
+            hash,
         };
         // Record starts and fast-forward local prefixes so every pc points
         // at a visible op.
@@ -218,7 +244,6 @@ impl Executor {
             }
         }
         exec.check_quiescence();
-        exec.init_hash();
         exec
     }
 
@@ -271,11 +296,11 @@ impl Executor {
         &self.cold.io_journal
     }
 
-    /// The schedule of choices taken so far, materialized from the
-    /// persistent log. O(steps) — use [`Executor::last_scheduled`] when
-    /// only the most recent choice matters.
+    /// The schedule of choices taken so far, copied out of the log.
+    /// O(steps) — use [`Executor::last_scheduled`] when only the most
+    /// recent choice matters.
     pub fn schedule_taken(&self) -> Schedule {
-        Schedule::from(self.taken.to_vec())
+        Schedule::from(self.taken.0.clone())
     }
 
     /// The thread scheduled by the most recent [`Executor::step`], if
@@ -342,18 +367,36 @@ impl Executor {
     /// clocks, and the schedule taken are deliberately excluded so that
     /// retry loops collapse).
     ///
-    /// O(1): the key is an XOR fold of per-component FNV hashes that
-    /// [`Executor::step`] repairs incrementally as it mutates state.
-    /// [`Executor::state_key_recomputed`] is the from-scratch reference
-    /// this cache must always agree with.
+    /// The key is an XOR fold of cached per-component FNV hashes.
+    /// [`Executor::step`] only marks the components it mutates dirty;
+    /// this read rehashes just those, so its cost is proportional to
+    /// the components touched since the cache was last repaired, not
+    /// to the state. [`Executor::state_key_recomputed`] is the
+    /// from-scratch reference this must always agree with.
     pub fn state_key(&self) -> u64 {
-        self.hash.key()
+        self.hash
+            .dirty()
+            .fold(self.hash.cached_key(), |key, (c, stale)| {
+                key ^ stale ^ self.component_hash(c)
+            })
+    }
+
+    /// [`Executor::state_key`], repairing the cache in place: the dirty
+    /// components are rehashed and stored, so the next read, and every
+    /// clone taken afterwards, starts clean. The explorer's dedup probe
+    /// reads keys this way.
+    pub fn refresh_state_key(&mut self) -> u64 {
+        while let Some(c) = self.hash.pop_dirty() {
+            let fresh = self.component_hash(c);
+            self.hash.replace(c, fresh);
+        }
+        self.hash.cached_key()
     }
 
     /// Recomputes [`Executor::state_key`] from scratch by hashing every
     /// component. O(state); exists as the correctness oracle for the
-    /// incrementally maintained key (the property suite asserts both
-    /// agree after arbitrary step sequences).
+    /// lazily repaired key (the property suite asserts both agree after
+    /// arbitrary step sequences).
     pub fn state_key_recomputed(&self) -> u64 {
         let mut key = 0u64;
         for i in 0..self.vars.len() {
@@ -383,8 +426,9 @@ impl Executor {
     /// A rwlock's readers are hashed as a thread mask: acquisition order
     /// is never observable (the lock only asks whether a thread reads
     /// and whether anyone does), so two orders are one state. Thread
-    /// locals are folded order-independently (XOR over entry hashes) so
-    /// the `HashMap` iteration order never leaks into the key.
+    /// locals are folded order-independently (XOR over entry hashes), so
+    /// the order in which they were first written never leaks into the
+    /// key.
     fn component_hash(&self, c: Comp) -> u64 {
         match c {
             Comp::Var(i) => Fnv::new().byte(1).usize(i).i64(self.vars[i]).finish(),
@@ -427,11 +471,11 @@ impl Executor {
                 };
                 f = f.usize(ts.pc);
                 let mut locals_fold = 0u64;
-                for (name, value) in &ts.locals {
+                for (name, value) in ts.locals.iter() {
                     locals_fold ^= Fnv::new()
                         .bytes(name.as_bytes())
                         .byte(0xff)
-                        .i64(*value)
+                        .i64(value)
                         .finish();
                 }
                 f = f.usize(ts.locals.len()).u64(locals_fold);
@@ -456,54 +500,6 @@ impl Executor {
                 }
                 f.finish()
             }
-        }
-    }
-
-    /// Computes every component hash from scratch and installs the
-    /// fold. Called once at construction; steps repair incrementally
-    /// from there.
-    fn init_hash(&mut self) {
-        self.hash = StateHash::with_sizes(
-            self.vars.len(),
-            self.cold.mutexes.len(),
-            self.cold.conds.len(),
-            self.cold.rws.len(),
-            self.cold.sems.len(),
-            self.threads.len(),
-        );
-        for i in 0..self.vars.len() {
-            let h = self.component_hash(Comp::Var(i));
-            self.hash.replace(Comp::Var(i), h);
-        }
-        for i in 0..self.cold.mutexes.len() {
-            let h = self.component_hash(Comp::Mutex(i));
-            self.hash.replace(Comp::Mutex(i), h);
-        }
-        for i in 0..self.cold.conds.len() {
-            let h = self.component_hash(Comp::Cond(i));
-            self.hash.replace(Comp::Cond(i), h);
-        }
-        for i in 0..self.cold.rws.len() {
-            let h = self.component_hash(Comp::Rw(i));
-            self.hash.replace(Comp::Rw(i), h);
-        }
-        for i in 0..self.cold.sems.len() {
-            let h = self.component_hash(Comp::Sem(i));
-            self.hash.replace(Comp::Sem(i), h);
-        }
-        for i in 0..self.threads.len() {
-            let h = self.component_hash(Comp::Thread(i));
-            self.hash.replace(Comp::Thread(i), h);
-        }
-    }
-
-    /// Rehashes every component the current step marked dirty,
-    /// repairing the XOR fold. Called at the end of [`Executor::step`];
-    /// cost is proportional to the components touched, not the state.
-    fn flush_hash(&mut self) {
-        while let Some(c) = self.hash.pop_dirty() {
-            let fresh = self.component_hash(c);
-            self.hash.replace(c, fresh);
         }
     }
 
@@ -541,59 +537,6 @@ impl Executor {
         Arc::make_mut(&mut self.vars)[var.index()] = value;
     }
 
-    // ---- snapshot cost model -------------------------------------------
-
-    /// Estimated heap bytes a pre-COW deep snapshot of this state would
-    /// copy: variable values, sync-object tables (waiter queues and
-    /// inline clocks included), per-thread state (locals, held sets,
-    /// inline clocks, transaction logs), the program, and the full
-    /// grow-only logs. A deterministic size model, not an allocator
-    /// measurement.
-    pub fn snapshot_deep_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let mut bytes = size_of::<Executor>();
-        bytes += self.vars.len() * size_of::<i64>();
-        for m in self.cold.mutexes.iter() {
-            bytes += size_of::<MutexState>() + m.waiters.len() * size_of::<ThreadId>();
-        }
-        for c in self.cold.conds.iter() {
-            bytes += size_of::<CondState>() + c.waiters.len() * size_of::<ThreadId>();
-        }
-        for rw in self.cold.rws.iter() {
-            bytes += size_of::<RwState>() + rw.readers.len() * size_of::<ThreadId>();
-        }
-        bytes += self.cold.sems.len() * size_of::<SemState>();
-        for ts in &self.threads {
-            bytes += size_of::<ThreadState>();
-            bytes += ts.locals.len() * size_of::<(&'static str, i64)>();
-            bytes += ts.held.len() * size_of::<MutexId>();
-            if let Some(tx) = &ts.tx {
-                bytes += (tx.read_set.len() + tx.write_set.len()) * size_of::<(VarId, i64)>();
-                bytes += tx.locals_snapshot.len() * size_of::<(&'static str, i64)>();
-            }
-        }
-        for t in self.program.threads() {
-            bytes += t.code().len() * size_of::<Instr>();
-        }
-        bytes += self.taken.len() * size_of::<ThreadId>();
-        bytes += self.events.len() * size_of::<Event>();
-        bytes += self.cold.io_journal.len() * size_of::<(ThreadId, &'static str)>();
-        bytes as u64
-    }
-
-    /// Bytes a copy-on-write clone of this state actually copies: the
-    /// executor struct, the per-thread `Arc` table, and the logs'
-    /// chunk-pointer tables. Same deterministic size model as
-    /// [`Executor::snapshot_deep_bytes`].
-    pub fn snapshot_shallow_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let bytes = size_of::<Executor>()
-            + self.threads.len() * size_of::<Arc<ThreadState>>()
-            + self.taken.clone_cost_bytes()
-            + self.events.clone_cost_bytes();
-        bytes as u64
-    }
-
     /// A copy that shares no heap storage with `self`. Copy-on-write
     /// clones and every step bump the reference counts of what they
     /// share, so searches on different threads each start from a
@@ -609,21 +552,9 @@ impl Executor {
                 .iter()
                 .map(|t| Arc::new(ThreadState::clone(t)))
                 .collect(),
-            taken: self.taken.detached(),
             events: self.events.detached(),
             ..self.clone()
         }
-    }
-
-    /// Bytes a snapshot of this state avoids copying thanks to the
-    /// copy-on-write representation
-    /// ([`snapshot_deep_bytes`](Executor::snapshot_deep_bytes) minus
-    /// [`snapshot_shallow_bytes`](Executor::snapshot_shallow_bytes)).
-    /// A pure function of the logical state — the serial and parallel
-    /// explorers accumulate identical totals.
-    pub fn snapshot_bytes_saved(&self) -> u64 {
-        self.snapshot_deep_bytes()
-            .saturating_sub(self.snapshot_shallow_bytes())
     }
 
     /// Threads that can take a step right now.
@@ -710,7 +641,7 @@ impl Executor {
             return Err(ExecError::ThreadNotEnabled { thread });
         }
         self.steps += 1;
-        self.taken.push(thread);
+        self.taken.0.push(thread);
         self.last_scheduled = Some(thread);
         self.thread_mut(thread).clock.tick(thread);
 
@@ -737,7 +668,6 @@ impl Executor {
             }
             self.check_quiescence();
         }
-        self.flush_hash();
         Ok(match &self.outcome {
             Some(o) => StepResult::Done(o.clone()),
             None => StepResult::Running,
@@ -815,7 +745,7 @@ impl Executor {
     // ---- internals -----------------------------------------------------
 
     fn locals_eval(locals: &Locals, e: &Expr) -> i64 {
-        e.eval(&|name| locals.get(name).copied().unwrap_or(0), &|_| {
+        e.eval(&|name| locals.get(name).unwrap_or(0), &|_| {
             unreachable!("builder validation forbids Expr::Shared in thread bodies")
         })
     }
@@ -1292,7 +1222,7 @@ impl Executor {
             }
             Stmt::TxBegin => {
                 let ts = self.thread_mut(thread);
-                let tx = TxState::new(ts.pc, &ts.locals);
+                let tx = TxState::new(ts.pc, ts.locals);
                 ts.tx = Some(tx);
                 self.record_event(thread, EventKind::TxBegin);
                 self.advance(thread);
@@ -1304,7 +1234,7 @@ impl Executor {
                     .tx
                     .take()
                     .expect("TxRetry only occurs inside a transaction");
-                ts.locals = tx.locals_snapshot.clone();
+                ts.locals = tx.locals_snapshot;
                 ts.pc = tx.start_pc;
                 ts.tx_retries += 1;
                 if ts.tx_retries > TX_RETRY_LIMIT {
@@ -1337,7 +1267,7 @@ impl Executor {
                 } else {
                     self.record_event(thread, EventKind::TxAbort);
                     let ts = self.thread_mut(thread);
-                    ts.locals = tx.locals_snapshot.clone();
+                    ts.locals = tx.locals_snapshot;
                     ts.pc = tx.start_pc;
                     ts.tx = None;
                     ts.tx_retries += 1;
@@ -1453,11 +1383,25 @@ mod tests {
             .zip(&d.threads)
             .all(|(a, b)| !Arc::ptr_eq(a, b)));
         assert_eq!(d.state_key(), e.state_key());
-        assert_eq!(d.snapshot_bytes_saved(), e.snapshot_bytes_saved());
         let finish = |mut x: Executor| (x.replay(&vec![t(1), t(0), t(1)].into(), 100), x);
         let ((a, e), (b, d)) = (finish(e), finish(d));
         assert_eq!(a, b);
         assert_eq!(e.schedule_taken(), d.schedule_taken());
+    }
+
+    #[test]
+    fn schedule_logs_of_a_clone_and_its_parent_are_independent() {
+        let p = racy_counter();
+        let mut parent = Executor::new(&p);
+        parent.step(t(0)).unwrap();
+        let mut child = parent.clone();
+        parent.step(t(0)).unwrap();
+        child.step(t(1)).unwrap();
+        child.step(t(1)).unwrap();
+        assert_eq!(parent.schedule_taken(), vec![t(0), t(0)].into());
+        assert_eq!(child.schedule_taken(), vec![t(0), t(1), t(1)].into());
+        assert_eq!(parent.last_scheduled(), Some(t(0)));
+        assert_eq!(child.last_scheduled(), Some(t(1)));
     }
 
     #[test]

@@ -227,12 +227,6 @@ pub struct ExploreStats {
     /// Enabled choices skipped because the preemption budget was
     /// exhausted.
     pub preemption_limited: u64,
-    /// Heap bytes the copy-on-write snapshot representation avoided
-    /// copying, summed over all snapshots: for each one, the size a
-    /// pre-COW deep clone would have copied minus what the `Arc`-sharing
-    /// clone actually copies. A pure function of the states snapshotted,
-    /// so the serial and parallel explorers report identical totals.
-    pub snapshot_bytes_saved: u64,
     /// Invisible steps fused into their parent edge instead of opening
     /// a branch point (see [`ExploreLimits::fuse`]). Always 0 with
     /// fusion off or under chaos.
@@ -793,10 +787,6 @@ impl<'s, 'p> Tally<'s, 'p> {
                 ("truncation", Value::Str(&truncation)),
                 ("schedules_per_sec", Value::F64(r.schedules_per_sec())),
                 ("states_per_sec", Value::F64(r.states_per_sec())),
-                (
-                    "snapshot_bytes_saved",
-                    Value::U64(r.stats.snapshot_bytes_saved),
-                ),
                 ("fused_steps", Value::U64(r.stats.fused_steps)),
                 ("snapshots_elided", Value::U64(r.stats.snapshots_elided)),
                 ("est_total_schedules", Value::F64(r.est_total_schedules)),
@@ -821,8 +811,9 @@ pub(crate) trait Reduction {
     /// What the forward run logs along an edge.
     type Edge: EdgeLog;
 
-    /// Opens the root branch point.
-    fn root(&mut self, exec: &Executor, enabled: Vec<ThreadId>) -> Self::Frame;
+    /// Opens the root branch point. `exec` is mutable only so a dedup
+    /// probe can repair its cached state key in place.
+    fn root(&mut self, exec: &mut Executor, enabled: Vec<ThreadId>) -> Self::Frame;
 
     /// Picks the next child of `frame`, whose state is `exec`, counting
     /// every sibling it prunes on the way, and primes the edge log for
@@ -844,10 +835,11 @@ pub(crate) trait Reduction {
     fn terminal(&mut self, exec: &Executor);
 
     /// The edge ended at the branch state `exec`: its frame, or `None`
-    /// when the state is redundant (the reason is counted).
+    /// when the state is redundant (the reason is counted). As in
+    /// [`Reduction::root`], `exec` is mutable for the dedup probe only.
     fn branch(
         &mut self,
-        exec: &Executor,
+        exec: &mut Executor,
         enabled: Vec<ThreadId>,
         report: &mut ExploreReport,
     ) -> Option<Self::Frame>;
@@ -859,10 +851,6 @@ pub(crate) trait Reduction {
 /// One branch point on the DFS stack.
 pub(crate) struct Frame<F> {
     exec: Executor,
-    /// [`Executor::snapshot_bytes_saved`] of `exec`, computed once at
-    /// push: the value is identical for every child cloned from this
-    /// prefix (the prefix is never mutated while it sits on the stack).
-    saved: u64,
     /// Logical branch depth of this frame (root = 1). Kept explicitly
     /// because the physical stack can be shorter: an exhausted frame is
     /// popped when its last child moves the snapshot out.
@@ -879,7 +867,6 @@ pub(crate) struct Frame<F> {
 impl<F> Frame<F> {
     fn new(exec: Executor, depth: u64, path_degree: f64, state: F) -> Frame<F> {
         Frame {
-            saved: exec.snapshot_bytes_saved(),
             exec,
             depth,
             path_degree,
@@ -940,12 +927,14 @@ impl<'a> Classic<'a> {
     }
 
     /// Probes the dedup table: `false` when `exec`'s state was already
-    /// expanded.
-    fn fresh(&mut self, exec: &Executor) -> bool {
+    /// expanded. The only hot reader of the state key: it repairs the
+    /// key's dirty components in place, so the children snapshotted
+    /// from `exec` start with a clean cache.
+    fn fresh(&mut self, exec: &mut Executor) -> bool {
         let Some(seen) = &mut self.seen else {
             return true;
         };
-        let key = self.profile.time(Phase::Hash, || exec.state_key());
+        let key = self.profile.time(Phase::Hash, || exec.refresh_state_key());
         self.profile.time(Phase::Dedup, || seen.insert(key))
     }
 }
@@ -954,7 +943,7 @@ impl Reduction for Classic<'_> {
     type Frame = Siblings;
     type Edge = Sleepers;
 
-    fn root(&mut self, exec: &Executor, enabled: Vec<ThreadId>) -> Siblings {
+    fn root(&mut self, exec: &mut Executor, enabled: Vec<ThreadId>) -> Siblings {
         self.fresh(exec);
         Siblings {
             enabled,
@@ -1026,7 +1015,7 @@ impl Reduction for Classic<'_> {
 
     fn branch(
         &mut self,
-        exec: &Executor,
+        exec: &mut Executor,
         enabled: Vec<ThreadId>,
         report: &mut ExploreReport,
     ) -> Option<Siblings> {
@@ -1077,7 +1066,7 @@ impl Reduction for SourceDpor {
     type Frame = usize;
     type Edge = Vec<(ThreadId, Footprint)>;
 
-    fn root(&mut self, exec: &Executor, enabled: Vec<ThreadId>) -> usize {
+    fn root(&mut self, exec: &mut Executor, enabled: Vec<ThreadId>) -> usize {
         let fps = frontier::next_footprints(exec, &enabled);
         self.dpor.push_frame(enabled, fps, 0)
     }
@@ -1119,7 +1108,7 @@ impl Reduction for SourceDpor {
 
     fn branch(
         &mut self,
-        exec: &Executor,
+        exec: &mut Executor,
         enabled: Vec<ThreadId>,
         report: &mut ExploreReport,
     ) -> Option<usize> {
@@ -1283,13 +1272,13 @@ fn search_from<R: Reduction>(
 pub(crate) fn open_root<R: Reduction>(
     tally: &mut Tally<'_, '_>,
     policy: &mut R,
-    root: Executor,
+    mut root: Executor,
 ) -> Frame<R::Frame> {
     let enabled = root.enabled();
     tally.report.stats.branch_points += 1;
     tally.report.stats.max_depth = tally.report.stats.max_depth.max(1);
     let degree = enabled.len() as f64;
-    let state = policy.root(&root, enabled);
+    let state = policy.root(&mut root, enabled);
     Frame::new(root, 1, degree, state)
 }
 
@@ -1337,7 +1326,7 @@ pub(crate) fn dfs<'s, 'p, R: Reduction>(
             policy.exhausted(frame.state, report);
             continue;
         };
-        let (saved, depth, path_degree) = (top.saved, top.depth, top.path_degree);
+        let (depth, path_degree) = (top.depth, top.path_degree);
         let snap_guard = setup.profile.enter(Phase::Snapshot);
         let child = if last {
             // Safe because COW children share structure instead of
@@ -1348,7 +1337,6 @@ pub(crate) fn dfs<'s, 'p, R: Reduction>(
         };
         drop(snap_guard);
         report.stats.snapshots += 1;
-        report.stats.snapshot_bytes_saved += saved;
         let step_guard = setup.profile.enter(Phase::Step);
         let next = frontier::advance(
             child,
@@ -1371,9 +1359,9 @@ pub(crate) fn dfs<'s, 'p, R: Reduction>(
                     break;
                 }
             }
-            Advance::Branch(exec, enabled) => {
+            Advance::Branch(mut exec, enabled) => {
                 let degree = enabled.len() as f64;
-                let Some(state) = policy.branch(&exec, enabled, report) else {
+                let Some(state) = policy.branch(&mut exec, enabled, report) else {
                     continue;
                 };
                 report.stats.branch_points += 1;

@@ -192,7 +192,6 @@ fn splice(tally: &mut Tally<'_, '_>, fragment: Fragment, depth: u64, limit: usiz
     report.stats.snapshots += stats.snapshots;
     report.stats.max_depth = report.stats.max_depth.max(stats.max_depth);
     report.stats.preemption_limited += stats.preemption_limited;
-    report.stats.snapshot_bytes_saved += stats.snapshot_bytes_saved;
     report.stats.fused_steps += stats.fused_steps;
     report.stats.snapshots_elided += stats.snapshots_elided;
     // A leaf becomes the run's first failing (clean) witness only when
@@ -528,10 +527,6 @@ mod tests {
         assert_eq!(
             serial.stats.snapshots, par.stats.snapshots,
             "{label}: snapshots"
-        );
-        assert_eq!(
-            serial.stats.snapshot_bytes_saved, par.stats.snapshot_bytes_saved,
-            "{label}: snapshot_bytes_saved"
         );
         assert_eq!(
             serial.stats.max_depth, par.stats.max_depth,

@@ -1,18 +1,16 @@
 //! Minimal multiply-rotate hasher for the exploration hot path.
 //!
-//! Two maps sit inside the per-step inner loop: every `Read`/`Write`
-//! statement probes a thread's locals table (keyed by short static
-//! names), and every dedup probe inserts an already-avalanched `u64`
-//! state key into the seen set. The standard library's default SipHash
-//! is keyed and DoS-resistant, which none of these internal tables
-//! need, and its per-probe setup cost dominates both operations. This
-//! module provides the classic Fx multiply-rotate hash (one rotate, one
-//! xor, one multiply per word), which is a good fit for short keys and
-//! for keys that are already well mixed.
+//! Every dedup probe inserts an already-avalanched `u64` state key into
+//! the explorer's seen set. The standard library's default SipHash is
+//! keyed and DoS-resistant, which this internal table does not need,
+//! and its per-probe setup cost dominates the insert. This module
+//! provides the classic Fx multiply-rotate hash (one rotate, one xor,
+//! one multiply per word), which is a good fit for short keys and for
+//! keys that are already well mixed.
 //!
-//! Collision quality is irrelevant for correctness here: `HashMap` and
-//! `HashSet` compare keys exactly, so a weaker hash can only cost
-//! probe-sequence length, never dedup soundness.
+//! Collision quality is irrelevant for correctness here: `HashSet`
+//! compares keys exactly, so a weaker hash can only cost probe-sequence
+//! length, never dedup soundness.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -69,12 +67,7 @@ impl Hasher for FxHasher {
 }
 
 pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
-pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuild>;
 pub(crate) type FxHashSet<T> = std::collections::HashSet<T, FxBuild>;
-
-/// A thread's local-variable table, keyed by the static names baked
-/// into kernel programs.
-pub(crate) type Locals = FxHashMap<&'static str, i64>;
 
 #[cfg(test)]
 mod tests {
@@ -94,7 +87,7 @@ mod tests {
 
     #[test]
     fn works_as_a_map_hasher() {
-        let mut m: FxHashMap<&'static str, i64> = FxHashMap::default();
+        let mut m: std::collections::HashMap<&str, i64, FxBuild> = Default::default();
         m.insert("x", 1);
         m.insert("y", 2);
         m.insert("x", 3);

@@ -73,6 +73,7 @@ mod footprint;
 mod frontier;
 mod fxhash;
 mod ids;
+mod locals;
 mod outcome;
 mod program;
 mod pvec;
@@ -108,6 +109,7 @@ pub use fault::{splitmix64, FaultKind, FaultPlan, RangeInt, SplitMix64};
 pub use footprint::MAX_VARS;
 pub use generate::{generate, GenConfig};
 pub use ids::{CondId, MutexId, RwId, SemId, ThreadId, VarId};
+pub use locals::MAX_LOCALS;
 pub use minimize::{minimize, MinimizeReport};
 pub use outcome::{BlockedOn, Outcome};
 pub use pretty::pseudocode;

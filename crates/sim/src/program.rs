@@ -13,6 +13,7 @@ use crate::error::BuildError;
 use crate::expr::Expr;
 use crate::footprint::MAX_VARS;
 use crate::ids::{CondId, MutexId, RwId, SemId, ThreadId, VarId};
+use crate::locals::MAX_LOCALS;
 use crate::stmt::Stmt;
 use crate::trace::MAX_THREADS;
 
@@ -275,7 +276,8 @@ impl ProgramBuilder {
     /// nested transactions, blocking synchronization inside a transaction,
     /// references to objects not declared on this builder, `Spawn` of
     /// an auto-start thread, more than [`crate::trace::MAX_THREADS`]
-    /// threads, or more than [`crate::MAX_VARS`] shared variables.
+    /// threads, more than [`crate::MAX_VARS`] shared variables, or a
+    /// thread writing more than [`crate::MAX_LOCALS`] distinct locals.
     pub fn build(self) -> Result<Program, BuildError> {
         if self.threads.is_empty() {
             return Err(BuildError::NoThreads);
@@ -334,6 +336,10 @@ impl ProgramBuilder {
         auto_flags: &[bool],
     ) -> Result<(), BuildError> {
         let mut err = None;
+        // The distinct locals written so far: the thread's inline table
+        // holds at most `MAX_LOCALS`.
+        let mut locals = [""; MAX_LOCALS];
+        let mut n_locals = 0;
         for stmt in body {
             stmt.visit(&mut |s| {
                 if err.is_some() {
@@ -351,6 +357,17 @@ impl ProgramBuilder {
                         object: obj,
                     });
                     return;
+                }
+                for name in written_locals(s).into_iter().flatten() {
+                    if locals[..n_locals].contains(&name) {
+                        continue;
+                    }
+                    if n_locals == MAX_LOCALS {
+                        err = Some(BuildError::TooManyLocals { thread });
+                        return;
+                    }
+                    locals[n_locals] = name;
+                    n_locals += 1;
                 }
                 if let Stmt::Spawn(target) = s {
                     match auto_flags.get(target.index()) {
@@ -404,6 +421,22 @@ impl ProgramBuilder {
             Stmt::SemAcquire(s) | Stmt::SemRelease(s) => check_sem(s),
             _ => None,
         }
+    }
+}
+
+/// The locals one statement writes (non-recursive, like
+/// [`stmt_exprs`]).
+fn written_locals(s: &Stmt) -> [Option<&'static str>; 2] {
+    match s {
+        Stmt::Read { into, .. } | Stmt::TryLock { into, .. } => [Some(into), None],
+        Stmt::LocalSet { name, .. } => [Some(name), None],
+        Stmt::Rmw { into, .. } => [*into, None],
+        Stmt::Cas {
+            into,
+            observed_into,
+            ..
+        } => [Some(into), *observed_into],
+        _ => [None, None],
     }
 }
 
@@ -578,6 +611,54 @@ mod tests {
         assert_eq!(
             wide(1, MAX_VARS + 1).build().unwrap_err(),
             BuildError::TooManyVars { vars: 65 }
+        );
+    }
+
+    /// A one-thread builder whose thread writes `n` distinct locals,
+    /// one each through every kind of local-writing statement, half of
+    /// them inside a nested block.
+    fn writes_locals(n: usize) -> ProgramBuilder {
+        const NAMES: [&str; MAX_LOCALS + 1] = ["a", "b", "c", "d", "e", "f", "g", "h", "i"];
+        let mut b = ProgramBuilder::new("locals");
+        let v = b.var("v", 0);
+        let m = b.mutex();
+        let body: Vec<Stmt> = NAMES[..n]
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| match i % 5 {
+                0 => Stmt::read(v, name),
+                1 => Stmt::local(name, 1),
+                2 => Stmt::exchange(v, 1, name),
+                3 => Stmt::cas(v, 0, 1, name),
+                _ => Stmt::TryLock {
+                    mutex: m,
+                    into: name,
+                },
+            })
+            .collect();
+        let (flat, nested) = body.split_at(n / 2);
+        let mut body = flat.to_vec();
+        body.push(Stmt::if_else(Expr::lit(1), nested.to_vec(), vec![]));
+        // Rewriting a local already counted adds no entry.
+        body.push(Stmt::local("a", 2));
+        b.thread("t", body);
+        b
+    }
+
+    #[test]
+    fn build_accepts_exactly_the_locals_limit() {
+        let p = writes_locals(MAX_LOCALS).build().expect("at the limit");
+        let mut e = crate::Executor::new(&p);
+        assert_eq!(e.run_sequential(100), crate::Outcome::Ok);
+    }
+
+    #[test]
+    fn build_rejects_one_local_over_the_limit() {
+        assert_eq!(
+            writes_locals(MAX_LOCALS + 1).build().unwrap_err(),
+            BuildError::TooManyLocals {
+                thread: ThreadId::from_index(0)
+            }
         );
     }
 

@@ -1,14 +1,18 @@
 //! `PSeq`: a persistent append-only sequence with cheap clones.
 //!
-//! The executor's grow-only logs (the schedule taken, the recorded
-//! event trace) used to be flat vectors, so every model-checker
-//! snapshot copied the entire O(steps) history. Here the history lives
-//! in chunked `Arc` storage: a clone copies only a small table of chunk
-//! pointers, and a push mutates the last chunk in place while this
-//! sequence is its sole owner — otherwise it opens a fresh chunk,
-//! leaving the shared history untouched. Chunks frozen by a clone stay
-//! immutable forever, so divergent futures of a branch point can never
-//! observe each other's appends.
+//! The executor's recorded event trace is large per entry (every event
+//! carries a vector clock), so a snapshot must not copy it. Here the
+//! history lives in chunked `Arc` storage: a clone copies only a small
+//! table of chunk pointers, and a push mutates the last chunk in place
+//! while this sequence is its sole owner — otherwise it opens a fresh
+//! chunk, leaving the shared history untouched. Chunks frozen by a
+//! clone stay immutable forever, so divergent futures of a branch point
+//! can never observe each other's appends.
+//!
+//! The schedule taken does not live here. Its entries are 4-byte
+//! thread ids, and a flat vector copied with spare capacity costs a
+//! snapshot one allocation. A `PSeq` clone costs a chunk-table copy,
+//! then a fresh chunk and a table growth on the child's first push.
 
 use std::sync::Arc;
 
@@ -46,18 +50,6 @@ impl<T> PSeq<T> {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Heap bytes a clone of this sequence copies (the chunk-pointer
-    /// table), as opposed to the `len * size_of::<T>()` a flat log
-    /// would. Reported for the *canonical packed* layout (`len /
-    /// CHUNK` rounded up) rather than the live table, so the figure is
-    /// a deterministic function of length alone: the live table can
-    /// run slightly longer when clones abandon partially-filled
-    /// chunks, and that drift would otherwise leak layout history into
-    /// the explorer's `snapshot_bytes_saved` accounting.
-    pub(crate) fn clone_cost_bytes(&self) -> usize {
-        self.len.div_ceil(CHUNK) * std::mem::size_of::<Arc<Vec<T>>>()
     }
 
     /// Appends an element: in place when the last chunk is uniquely
@@ -150,18 +142,5 @@ mod tests {
         assert_eq!(b.len(), CHUNK);
         assert_eq!(a.len(), CHUNK + 1);
         assert!(b.to_vec().iter().all(|&x| x == 7));
-    }
-
-    #[test]
-    fn clone_cost_tracks_chunk_table_not_length() {
-        let mut s: PSeq<u64> = PSeq::new();
-        for _ in 0..(CHUNK * 4) {
-            s.push(0);
-        }
-        // 4 chunks -> 4 pointers, regardless of the 256 elements.
-        assert_eq!(
-            s.clone_cost_bytes(),
-            4 * std::mem::size_of::<Arc<Vec<u64>>>()
-        );
     }
 }

@@ -8,12 +8,12 @@
 //! closely enough for the study's TM-applicability experiments while
 //! staying deterministic under the model checker.
 
-use crate::fxhash::Locals;
 use crate::ids::VarId;
+use crate::locals::Locals;
 
 /// In-flight transaction bookkeeping (one per thread at most; nesting is
 /// rejected at build time).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct TxState {
     /// Instruction index of the `TxBegin`, the restart point on abort.
     pub start_pc: usize,
@@ -23,7 +23,7 @@ pub(crate) struct TxState {
     pub read_set: Vec<(VarId, i64)>,
     /// Redo log: last write per variable.
     pub write_set: Vec<(VarId, i64)>,
-    /// Locals at `TxBegin`, restored on abort.
+    /// Locals at `TxBegin`, restored on abort (an inline copy).
     pub locals_snapshot: Locals,
     /// Whether an irrevocable I/O effect was performed inside the
     /// transaction — the canonical "TM cannot help" obstacle in the study.
@@ -31,12 +31,12 @@ pub(crate) struct TxState {
 }
 
 impl TxState {
-    pub fn new(start_pc: usize, locals: &Locals) -> TxState {
+    pub fn new(start_pc: usize, locals: Locals) -> TxState {
         TxState {
             start_pc,
             read_set: Vec::new(),
             write_set: Vec::new(),
-            locals_snapshot: locals.clone(),
+            locals_snapshot: locals,
             io_performed: false,
         }
     }
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn read_prefers_redo_log_then_read_set() {
-        let mut tx = TxState::new(0, &Locals::default());
+        let mut tx = TxState::new(0, Locals::default());
         assert_eq!(tx.read(v(0), 10), 10); // from global, recorded
         assert_eq!(tx.read(v(0), 999), 10); // snapshot, not fresh global
         tx.write(v(0), 42);
@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn write_overwrites_in_place() {
-        let mut tx = TxState::new(0, &Locals::default());
+        let mut tx = TxState::new(0, Locals::default());
         tx.write(v(1), 1);
         tx.write(v(1), 2);
         assert_eq!(tx.write_set, vec![(v(1), 2)]);
@@ -107,14 +107,14 @@ mod tests {
 
     #[test]
     fn validate_checks_read_set_against_globals() {
-        let mut tx = TxState::new(0, &Locals::default());
+        let mut tx = TxState::new(0, Locals::default());
         let globals = vec![5, 7];
         assert_eq!(tx.read(v(1), globals[1]), 7);
         assert!(tx.validate(&globals));
         let changed = vec![5, 8];
         assert!(!tx.validate(&changed));
         // Writes alone never invalidate.
-        let mut tx2 = TxState::new(0, &Locals::default());
+        let mut tx2 = TxState::new(0, Locals::default());
         tx2.write(v(0), 9);
         assert!(tx2.validate(&changed));
     }

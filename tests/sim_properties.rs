@@ -237,10 +237,12 @@ fn frontier_split_covers_exactly_the_serial_subtree() {
     );
 }
 
-/// The incrementally maintained state fingerprint equals a
-/// from-scratch recomputation after every step of any generated
-/// program, including across a copy-on-write branch point where
-/// parent and child diverge from shared history.
+/// The lazily repaired state fingerprint equals a from-scratch
+/// recomputation after every step of any generated program: read
+/// without repair (dirty components folded in on the fly), after a
+/// dedup-style repair in place at random steps, and on a clone taken
+/// mid-run, which inherits the parent's dirty bits and then diverges
+/// from shared history.
 #[test]
 fn incremental_state_key_matches_recomputation() {
     check(
@@ -278,13 +280,28 @@ fn incremental_state_key_matches_recomputation() {
                     "key drifted at step {}",
                     step
                 );
+                if next(3) == 0 {
+                    assert_eq!(
+                        exec.refresh_state_key(),
+                        exec.state_key_recomputed(),
+                        "repaired key drifted at step {}",
+                        step
+                    );
+                    assert_eq!(exec.state_key(), exec.state_key_recomputed());
+                }
                 let enabled = exec.enabled();
                 if enabled.is_empty() {
                     break;
                 }
                 if step == fork_at {
                     // Branch point: the cheap clone shares history with the
-                    // parent; both must keep exact fingerprints afterwards.
+                    // parent and inherits its dirty components; both must
+                    // keep exact fingerprints afterwards, and repairing
+                    // one side's cache must not disturb the other's.
+                    let mut child = exec.clone();
+                    assert_eq!(child.state_key(), exec.state_key());
+                    assert_eq!(child.refresh_state_key(), exec.state_key_recomputed());
+                    assert_eq!(exec.state_key(), exec.state_key_recomputed());
                     forked = Some(exec.clone());
                 }
                 let pick = enabled[next(enabled.len())];

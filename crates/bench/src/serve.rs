@@ -117,7 +117,6 @@ fn bench_server_config(traced: bool) -> ServerConfig {
         caps: LevelCaps {
             max_steps: 2_000,
             max_schedules: 2_000,
-            dpor: false,
         },
         trace: traced,
         trace_slow_ms: if traced { Some(0) } else { None },

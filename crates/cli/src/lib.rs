@@ -133,14 +133,10 @@ pub enum Command {
         markdown: bool,
     },
     /// `lfm serve [--addr A] [--workers N] [--queue N] [--max-conns N]
-    /// [--dpor] [--trace <path>] [--trace-slow-ms N]`
+    /// [--trace <path>] [--trace-slow-ms N]`
     Serve {
         /// Bind address (default `127.0.0.1:0`, a free port).
         addr: Option<String>,
-        /// Run every DFS rung with source-set DPOR (chaos requests and
-        /// the preemption-bounded rung fall back to the classic
-        /// search).
-        dpor: bool,
         /// Explorer worker pool size.
         workers: Option<usize>,
         /// Job queue bound (also the admission ladder's shed point).
@@ -483,7 +479,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         }
         Some("serve") => {
             let mut addr = None;
-            let mut dpor = false;
             let mut workers = None;
             let mut queue = None;
             let mut max_conns = None;
@@ -521,13 +516,11 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                             UsageError(format!("--trace-slow-ms `{v}` is not a millisecond count"))
                         })?);
                     }
-                    "--dpor" => dpor = true,
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
             }
             Ok(Command::Serve {
                 addr,
-                dpor,
                 workers,
                 queue,
                 max_conns,
@@ -689,7 +682,7 @@ USAGE:
                                      efuse, ewit, eobs, eserve, findings;
                                      default: everything)
   lfm serve [--addr A] [--workers N] [--queue N] [--max-conns N]
-            [--dpor] [--trace <path>] [--trace-slow-ms N]
+            [--trace <path>] [--trace-slow-ms N]
                                     run the fingerprint-keyed model-checking
                                     service (lfm-serve/v1 JSONL over TCP):
                                     caches reports by program fingerprint,
@@ -1017,7 +1010,6 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
         Command::Replay { path } => return run_replay(&path),
         Command::Serve {
             addr,
-            dpor,
             workers,
             queue,
             max_conns,
@@ -1027,7 +1019,6 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
             return run_serve(
                 ServeArgs {
                     addr,
-                    dpor,
                     workers,
                     queue,
                     max_conns,
@@ -1645,7 +1636,6 @@ fn run_replay(path: &str) -> RunOutput {
 /// readable).
 struct ServeArgs {
     addr: Option<String>,
-    dpor: bool,
     workers: Option<usize>,
     queue: Option<usize>,
     max_conns: Option<usize>,
@@ -1672,7 +1662,6 @@ fn run_serve(args: ServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink>) -> RunOut
     // drains at shutdown.
     config.trace = args.trace.is_some();
     config.trace_slow_ms = args.trace_slow_ms;
-    config.caps.dpor = args.dpor;
     config.chaos = opts.chaos;
     config.default_deadline = opts.deadline;
     let handle = match lfm_serve::Server::start(config, Arc::clone(sink)) {
@@ -2220,7 +2209,6 @@ mod tests {
             parse(&args(&["serve"])).unwrap(),
             Command::Serve {
                 addr: None,
-                dpor: false,
                 workers: None,
                 queue: None,
                 max_conns: None,
@@ -2239,7 +2227,6 @@ mod tests {
                 "8",
                 "--max-conns",
                 "64",
-                "--dpor",
                 "--trace",
                 "spans.json",
                 "--trace-slow-ms",
@@ -2248,7 +2235,6 @@ mod tests {
             .unwrap(),
             Command::Serve {
                 addr: Some("127.0.0.1:7777".into()),
-                dpor: true,
                 workers: Some(3),
                 queue: Some(8),
                 max_conns: Some(64),
@@ -2265,6 +2251,10 @@ mod tests {
         assert!(parse(&args(&["serve", "--trace-slow-ms"])).is_err());
         assert!(parse(&args(&["serve", "--trace-slow-ms", "soon"])).is_err());
         assert!(parse(&args(&["serve", "--bogus"])).is_err());
+        assert_eq!(
+            parse(&args(&["serve", "--dpor"])),
+            Err(UsageError("unknown flag `--dpor`".into()))
+        );
         assert!(parse(&args(&["serve", "extra"])).is_err());
     }
 
@@ -3173,7 +3163,6 @@ mod tests {
         let out = run_serve(
             ServeArgs {
                 addr: Some(addr),
-                dpor: false,
                 workers: Some(2),
                 queue: None,
                 max_conns: None,

@@ -1,217 +1,53 @@
-//! Running one exploration at one degrade level.
+//! The served degrade levels.
 //!
-//! The admission controller picks a [`DegradeLevel`]; this module runs
-//! exactly that rung with the same limits the PR 2 `BudgetedExplorer`
-//! ladder would use for it, so a served report means the same thing a
-//! budgeted one does. Unlike the ladder, a service worker never climbs
-//! back up — the level was chosen from queue pressure, and the point is
-//! bounded per-request work.
+//! The admission controller picks a [`DegradeLevel`](lfm_sim::DegradeLevel)
+//! from queue pressure, and the worker runs exactly that rung through
+//! [`lfm_sim::run_rung`], the runner the budget ladder uses too, so a
+//! served report means the same thing a budgeted one does. Unlike the
+//! ladder, a service worker never climbs back up: the point is bounded
+//! per-request work.
 
-use std::time::Duration;
-
-use lfm_sim::random::PctScheduler;
-use lfm_sim::{
-    Confidence, DeadlineClock, DegradeLevel, ExploreLimits, Explorer, FaultPlan, OutcomeCounts,
-    Program, Truncation,
-};
-
-/// Preemption bound of the `preemption-bounded` rung (mirrors the
-/// budget ladder).
-pub const PREEMPTION_BOUND: u32 = 2;
-/// PCT priority-change depth (mirrors the budget ladder).
-pub const PCT_DEPTH: u32 = 3;
-/// PCT trials per deadline re-check batch.
-pub const PCT_BATCH: u64 = 32;
-/// PCT trial cap when no deadline bounds the rung.
-pub const PCT_DEFAULT_TRIALS: u64 = 512;
-
-/// Exploration size caps shared by every rung of one server.
-#[derive(Debug, Clone, Copy)]
-pub struct LevelCaps {
-    /// Per-execution step cap.
-    pub max_steps: usize,
-    /// Schedule cap per exploration.
-    pub max_schedules: u64,
-    /// Source-set DPOR on the DFS rungs. The explorer resolves the
-    /// unsound combinations itself: chaos requests and the
-    /// preemption-bounded rung fall back to the classic search.
-    pub dpor: bool,
-}
-
-impl Default for LevelCaps {
-    fn default() -> LevelCaps {
-        LevelCaps {
-            max_steps: 4_000,
-            max_schedules: 50_000,
-            dpor: false,
-        }
-    }
-}
-
-/// The deterministic result of one rung run — everything the canonical
-/// report renders, and nothing wall-clock-dependent.
-#[derive(Debug, Clone)]
-pub struct CheckOutcome {
-    /// Rung that produced the result.
-    pub level: DegradeLevel,
-    /// Coverage meaning of the result at this rung.
-    pub confidence: Confidence,
-    /// Outcome histogram.
-    pub counts: OutcomeCounts,
-    /// Schedules (or PCT trials) executed.
-    pub schedules: u64,
-    /// Why the run stopped early, if it did. `WallDeadline` here is the
-    /// per-request deadline doing its job, not an error.
-    pub truncation: Option<Truncation>,
-    /// Display form of the first failing outcome, when one manifested.
-    pub first_failure: Option<String>,
-}
-
-/// Runs `program` at exactly `level`.
-///
-/// `deadline` is the *remaining* per-request wall budget (measured by
-/// the caller from admission time); expiry surfaces as
-/// `Truncation::WallDeadline` in the outcome, reusing the explorer's
-/// truncation contract rather than inventing a service-side timeout.
-///
-/// Chaos note: the sleep-set reduction is unsound under fault
-/// injection (`Explorer::chaos` documents why), so with a `FaultPlan`
-/// the sleep-set rung falls back to plain dedup — same pruning the
-/// budget ladder applies when it skips that rung.
-pub fn check_at_level(
-    program: &Program,
-    level: DegradeLevel,
-    caps: LevelCaps,
-    chaos: Option<FaultPlan>,
-    deadline: Option<Duration>,
-) -> CheckOutcome {
-    check_on_clock(program, level, caps, chaos, deadline, DeadlineClock::Wall)
-}
-
-/// [`check_at_level`] with the deadline measured against `clock`.
-fn check_on_clock(
-    program: &Program,
-    level: DegradeLevel,
-    caps: LevelCaps,
-    chaos: Option<FaultPlan>,
-    deadline: Option<Duration>,
-    clock: DeadlineClock,
-) -> CheckOutcome {
-    if level == DegradeLevel::PctSampling {
-        return run_pct(program, caps, chaos, deadline, clock);
-    }
-    let limits = ExploreLimits {
-        max_steps: caps.max_steps,
-        max_schedules: caps.max_schedules,
-        max_preemptions: (level == DegradeLevel::PreemptionBounded).then_some(PREEMPTION_BOUND),
-        stop_on_first_failure: false,
-        dedup_states: true,
-        sleep_sets: level == DegradeLevel::SleepSet && chaos.is_none(),
-        dpor: caps.dpor,
-        fuse: true,
-        deadline,
-    };
-    let mut explorer = Explorer::new(program).limits(limits).deadline_clock(clock);
-    if let Some(plan) = chaos {
-        explorer = explorer.chaos(plan);
-    }
-    let report = explorer.run();
-    let confidence = match level {
-        DegradeLevel::Exhaustive | DegradeLevel::SleepSet => {
-            if report.truncation.is_none() {
-                Confidence::Proved
-            } else {
-                Confidence::Partial
-            }
-        }
-        DegradeLevel::PreemptionBounded => {
-            if matches!(report.truncation, None | Some(Truncation::PreemptionBound)) {
-                Confidence::Bounded
-            } else {
-                Confidence::Partial
-            }
-        }
-        DegradeLevel::PctSampling => Confidence::Sampled,
-    };
-    CheckOutcome {
-        level,
-        confidence,
-        counts: report.counts,
-        schedules: report.schedules_run,
-        truncation: report.truncation,
-        first_failure: report.first_failure.as_ref().map(|(_, o)| o.to_string()),
-    }
-}
-
-/// The PCT rung: seeded sampling in small batches, re-checking the
-/// deadline between batches so a deadline can only overshoot by one
-/// batch. At least one batch always runs.
-fn run_pct(
-    program: &Program,
-    caps: LevelCaps,
-    chaos: Option<FaultPlan>,
-    deadline: Option<Duration>,
-    clock: DeadlineClock,
-) -> CheckOutcome {
-    let stopwatch = lfm_obs::Stopwatch::start();
-    let seed_base = chaos.map_or(0x5EED, |p| p.seed);
-    let trial_cap = match deadline {
-        Some(_) => caps.max_schedules,
-        None => PCT_DEFAULT_TRIALS.min(caps.max_schedules),
-    };
-    let mut counts = OutcomeCounts::default();
-    let mut first_failure = None;
-    let mut trials = 0u64;
-    let mut batch = 0u64;
-    let mut truncation = None;
-    loop {
-        let batch_trials = PCT_BATCH.min(trial_cap.saturating_sub(trials)).max(1);
-        let seed = seed_base ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut scheduler = PctScheduler::new(program, seed, PCT_DEPTH).max_steps(caps.max_steps);
-        if let Some(plan) = chaos {
-            scheduler = scheduler.with_faults(plan);
-        }
-        let r = scheduler.run_trials(batch_trials);
-        counts.ok += r.counts.ok;
-        counts.assert_failed += r.counts.assert_failed;
-        counts.deadlock += r.counts.deadlock;
-        counts.step_limit += r.counts.step_limit;
-        counts.tx_retry_limit += r.counts.tx_retry_limit;
-        counts.misuse += r.counts.misuse;
-        trials += r.trials;
-        if first_failure.is_none() {
-            first_failure = r.first_failure.map(|(_, o)| o.to_string());
-        }
-        batch += 1;
-        if trials >= trial_cap {
-            break;
-        }
-        if deadline.is_some_and(|d| clock.elapsed(&stopwatch, trials) >= d) {
-            truncation = Some(Truncation::WallDeadline);
-            break;
-        }
-    }
-    CheckOutcome {
-        level: DegradeLevel::PctSampling,
-        confidence: Confidence::Sampled,
-        counts,
-        schedules: trials,
-        truncation,
-        first_failure,
-    }
-}
+/// PCT trials a served check runs when no deadline bounds it. A served
+/// PCT rung is picked under load, so it bounds one request's work at an
+/// eighth of the budget ladder's last-resort 4 096 trials.
+pub const SERVED_PCT_TRIALS: u64 = 512;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
     use lfm_kernels::registry;
+    use lfm_sim::{
+        run_rung, BudgetReport, Confidence, DeadlineClock, DegradeLevel, FaultPlan, LevelCaps,
+        Program, Truncation,
+    };
+
+    /// One served check, as the worker runs it.
+    fn served(
+        program: &Program,
+        level: DegradeLevel,
+        caps: LevelCaps,
+        chaos: Option<FaultPlan>,
+        deadline: Option<Duration>,
+    ) -> BudgetReport {
+        run_rung(
+            program,
+            level,
+            caps,
+            SERVED_PCT_TRIALS,
+            chaos,
+            deadline,
+            DeadlineClock::Wall,
+        )
+    }
 
     #[test]
     fn exhaustive_proves_a_fixed_kernel() {
         let kernel = registry::by_id("toctou_flag").expect("kernel exists");
         let fix = kernel.fixes[0];
         let program = kernel.build(lfm_kernels::Variant::Fixed(fix));
-        let out = check_at_level(
+        let out = served(
             &program,
             DegradeLevel::Exhaustive,
             LevelCaps::default(),
@@ -233,7 +69,7 @@ mod tests {
             DegradeLevel::PreemptionBounded,
             DegradeLevel::PctSampling,
         ] {
-            let out = check_at_level(&program, level, LevelCaps::default(), None, None);
+            let out = served(&program, level, LevelCaps::default(), None, None);
             assert_eq!(out.level, level);
             assert!(
                 out.counts.failures() > 0,
@@ -249,37 +85,60 @@ mod tests {
         let kernel = registry::by_id("abba").expect("kernel exists");
         let program = kernel.buggy();
         for level in [DegradeLevel::Exhaustive, DegradeLevel::PctSampling] {
-            let a = check_at_level(&program, level, LevelCaps::default(), None, None);
-            let b = check_at_level(&program, level, LevelCaps::default(), None, None);
+            let a = served(&program, level, LevelCaps::default(), None, None);
+            let b = served(&program, level, LevelCaps::default(), None, None);
             assert_eq!(a.counts, b.counts);
-            assert_eq!(a.schedules, b.schedules);
+            assert_eq!(a.schedules_run, b.schedules_run);
             assert_eq!(a.first_failure, b.first_failure);
         }
     }
 
     #[test]
-    fn dpor_caps_preserve_verdicts_on_every_dfs_rung() {
+    fn pct_trial_cap_truncates_with_schedule_budget() {
         let kernel = registry::by_id("toctou_flag").expect("kernel exists");
+        let program = kernel.buggy();
         let caps = LevelCaps {
-            dpor: true,
+            max_schedules: 64,
             ..LevelCaps::default()
         };
-        for level in [
-            DegradeLevel::Exhaustive,
-            DegradeLevel::SleepSet,
-            DegradeLevel::PreemptionBounded,
-        ] {
-            let buggy = check_at_level(&kernel.buggy(), level, caps, None, None);
-            assert!(
-                buggy.counts.failures() > 0,
-                "{level} with DPOR missed the bug: {}",
-                buggy.counts
+        let deadline = Some(Duration::from_secs(60));
+        let out = served(&program, DegradeLevel::PctSampling, caps, None, deadline);
+        assert_eq!(out.schedules_run, 64);
+        assert_eq!(out.truncation, Some(Truncation::ScheduleBudget));
+        let body = crate::protocol::render_report("toctou_flag", "buggy", 0, &out);
+        assert!(
+            body.contains("\"truncation\":\"schedule-budget\""),
+            "{body}"
+        );
+        // Without a deadline the served trial cap ends the run.
+        let out = served(&program, DegradeLevel::PctSampling, caps, None, None);
+        assert_eq!(out.schedules_run, 64.min(SERVED_PCT_TRIALS));
+        assert_eq!(out.truncation, Some(Truncation::ScheduleBudget));
+    }
+
+    #[test]
+    fn sleep_set_rung_under_chaos_runs_as_plain_dedup() {
+        let mut reduced_without_chaos = 0;
+        for id in ["toctou_flag", "abba", "counter_rmw", "livelock_retry"] {
+            let kernel = registry::by_id(id).expect("kernel exists");
+            let program = kernel.buggy();
+            let check = |level, chaos| served(&program, level, LevelCaps::default(), chaos, None);
+            let chaos = Some(FaultPlan::new(42));
+            let sleep = check(DegradeLevel::SleepSet, chaos);
+            let exhaustive = check(DegradeLevel::Exhaustive, chaos);
+            assert_eq!(sleep.counts, exhaustive.counts, "{id}: counts");
+            assert_eq!(
+                sleep.schedules_run, exhaustive.schedules_run,
+                "{id}: schedules"
             );
-            let fix = kernel.fixes[0];
-            let fixed = kernel.build(lfm_kernels::Variant::Fixed(fix));
-            let ok = check_at_level(&fixed, level, caps, None, None);
-            assert_eq!(ok.counts.failures(), 0, "{level} with DPOR false positive");
+            assert_eq!(sleep.confidence, exhaustive.confidence, "{id}: confidence");
+            let calm = check(DegradeLevel::SleepSet, None).schedules_run;
+            if calm != check(DegradeLevel::Exhaustive, None).schedules_run {
+                reduced_without_chaos += 1;
+            }
         }
+        // Not vacuous: without chaos the sleep-set rung does prune.
+        assert!(reduced_without_chaos > 0);
     }
 
     #[test]
@@ -292,10 +151,11 @@ mod tests {
         };
         // Each schedule costs 100µs of simulated time, so the 1ms
         // deadline expires after 10 schedules on any host.
-        let out = check_on_clock(
+        let out = run_rung(
             &program,
             DegradeLevel::Exhaustive,
             caps,
+            SERVED_PCT_TRIALS,
             None,
             Some(Duration::from_millis(1)),
             DeadlineClock::PerSchedule(Duration::from_micros(100)),

@@ -5,7 +5,7 @@
 //! std-only JSONL-over-TCP server accepts kernel-checking requests,
 //! dedups them by the lfm-trace/v1 program fingerprint, returns cached
 //! reports on hit, and shards misses across a persistent explorer
-//! worker pool — degrading down the PR 2 budget ladder
+//! worker pool — degrading down the budget ladder
 //! (exhaustive → sleep-set → preemption-bounded → PCT) under queue
 //! pressure instead of queueing unboundedly.
 //!
@@ -54,7 +54,7 @@ pub use admission::{Admission, AdmissionLadder};
 pub use cache::{Lookup, ReportCache};
 pub use chaos::{ChaosProxy, NetFault, NetFaultPlan, ProxyHandle, ProxyStats};
 pub use client::{decorrelated_jitter, CheckReply, Client, ClientError, RetryPolicy};
-pub use level::{check_at_level, CheckOutcome, LevelCaps};
+pub use lfm_sim::LevelCaps;
 pub use load::{run_load, LoadConfig, LoadReport};
 pub use protocol::{
     parse_request, report_raw, Request, Response, TraceContext, SERVE_SCHEMA, STATS_SCHEMA,

@@ -19,10 +19,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lfm_obs::{Event, Sink, Value};
-use lfm_sim::{DegradeLevel, FaultPlan, Program, Truncation};
+use lfm_sim::{run_rung, DeadlineClock, DegradeLevel, FaultPlan, LevelCaps, Program, Truncation};
 
 use crate::cache::ReportCache;
-use crate::level::{check_at_level, LevelCaps};
+use crate::level::SERVED_PCT_TRIALS;
 use crate::protocol;
 use crate::server::ServeStats;
 use crate::trace::{push_span, SpanRec, Stage, Tracer};
@@ -244,7 +244,15 @@ fn run_job(job: Job, pid: u64, ctx: &WorkerCtx) {
         explore_start,
     );
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        check_at_level(&job.program, job.level, caps, chaos, remaining)
+        run_rung(
+            &job.program,
+            job.level,
+            caps,
+            SERVED_PCT_TRIALS,
+            chaos,
+            remaining,
+            DeadlineClock::Wall,
+        )
     }));
     push_span(
         stats,
@@ -269,7 +277,7 @@ fn run_job(job: Job, pid: u64, ctx: &WorkerCtx) {
                             "level",
                             Value::U64(crate::admission::level_index(job.level) as u64),
                         ),
-                        ("schedules", Value::U64(out.schedules)),
+                        ("schedules", Value::U64(out.schedules_run)),
                         ("failures", Value::U64(out.counts.failures())),
                     ],
                 });

@@ -14,9 +14,7 @@
 //! object for the same reason.
 
 use lfm_obs::json::{self, Json};
-use lfm_sim::{splitmix64, Truncation};
-
-use crate::level::CheckOutcome;
+use lfm_sim::{splitmix64, BudgetReport, Truncation};
 
 /// Schema tag carried by every request and response line.
 pub const SERVE_SCHEMA: &str = "lfm-serve/v1";
@@ -332,14 +330,14 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 /// exploration parameters — counts, level, confidence, truncation —
 /// and **never** wall-clock time, so the bytes are stable across runs
 /// and safe to cache and replay as hits.
-pub fn render_report(kernel: &str, variant: &str, fingerprint: u64, out: &CheckOutcome) -> String {
+pub fn render_report(kernel: &str, variant: &str, fingerprint: u64, out: &BudgetReport) -> String {
     let truncation = match out.truncation {
         None => "null".to_owned(),
         Some(t) => json::quote(&truncation_tag(t)),
     };
     let first_failure = match &out.first_failure {
         None => "null".to_owned(),
-        Some(text) => json::quote(text),
+        Some((_, outcome)) => json::quote(&outcome.to_string()),
     };
     format!(
         concat!(
@@ -355,7 +353,7 @@ pub fn render_report(kernel: &str, variant: &str, fingerprint: u64, out: &CheckO
         out.level,
         out.confidence,
         truncation,
-        out.schedules,
+        out.schedules_run,
         out.counts.ok,
         out.counts.assert_failed,
         out.counts.deadlock,

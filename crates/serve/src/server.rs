@@ -29,11 +29,10 @@ use std::time::{Duration, Instant};
 
 use lfm_obs::json::{self, Json};
 use lfm_obs::{Counter, Event, Histogram, HistogramSnapshot, Registry, Sink, Value};
-use lfm_sim::{fingerprint, splitmix64, FaultPlan};
+use lfm_sim::{fingerprint, splitmix64, FaultPlan, LevelCaps};
 
 use crate::admission::{level_index, Admission, AdmissionLadder, LEVELS};
 use crate::cache::{Lookup, ReportCache};
-use crate::level::LevelCaps;
 use crate::pool::{Job, JobQueue, WorkerCtx, WorkerPool};
 use crate::protocol::{
     self, parse_request, render_bye, render_error, render_ok, render_pong, render_shed, Request,
@@ -1179,7 +1178,6 @@ fn write_line(
 mod tests {
     use super::*;
     use crate::client::{Client, RetryPolicy};
-    use crate::level::LevelCaps;
 
     fn test_config() -> ServerConfig {
         ServerConfig {
@@ -1187,7 +1185,6 @@ mod tests {
             caps: LevelCaps {
                 max_steps: 2_000,
                 max_schedules: 4_000,
-                dpor: false,
             },
             ..ServerConfig::default()
         }

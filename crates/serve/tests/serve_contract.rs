@@ -30,7 +30,6 @@ fn small_config() -> ServerConfig {
         caps: LevelCaps {
             max_steps: 2_000,
             max_schedules: 2_000,
-            dpor: false,
         },
         ..ServerConfig::default()
     }
@@ -192,7 +191,6 @@ fn overload_sheds_explicitly_instead_of_queueing() {
         caps: LevelCaps {
             max_steps: 2_000,
             max_schedules: 2_000,
-            dpor: false,
         },
         ..ServerConfig::default()
     };

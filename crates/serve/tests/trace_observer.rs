@@ -31,7 +31,6 @@ fn config(trace: bool, chaos: Option<u64>) -> ServerConfig {
         caps: LevelCaps {
             max_steps: 2_000,
             max_schedules: 2_000,
-            dpor: false,
         },
         chaos,
         trace,

@@ -10,6 +10,11 @@
 //! states the [`DegradeLevel`] used and a [`Confidence`] grade, so a
 //! consumer can tell "proved correct" apart from "sampled and nothing
 //! fell out".
+//!
+//! Each rung runs through [`run_rung`], the one rung runner: the ladder
+//! walks its rungs with it, and `lfm serve` runs the single rung its
+//! admission control picked with it, so a served report means the same
+//! thing a budgeted one does.
 
 use std::fmt;
 use std::sync::Arc;
@@ -26,13 +31,15 @@ use crate::schedule::Schedule;
 
 /// PCT trials per batch; the deadline is re-checked between batches.
 const PCT_BATCH: u64 = 32;
-/// PCT trial cap when no deadline is set.
-const PCT_DEFAULT_TRIALS: u64 = 4_096;
 /// Preemption bound used by the [`DegradeLevel::PreemptionBounded`] rung
 /// (the study's depth findings say two preemptions expose most bugs).
 const PREEMPTION_BOUND: u32 = 2;
 /// PCT priority-change depth.
 const PCT_DEPTH: u32 = 3;
+/// The ladder's PCT trial cap when no deadline is set. PCT is the
+/// ladder's last resort for a whole check, so it samples 8x more than a
+/// served PCT rung, which bounds one request's work under load.
+const LADDER_PCT_TRIALS: u64 = 4_096;
 
 /// Resource budget for a [`BudgetedExplorer`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +70,27 @@ impl Budget {
         Budget {
             deadline: Some(deadline),
             ..Budget::default()
+        }
+    }
+}
+
+/// Size caps of one [`run_rung`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelCaps {
+    /// Per-execution step cap.
+    pub max_steps: usize,
+    /// Schedule cap of a DFS rung, and PCT's trial cap when a deadline
+    /// bounds the rung.
+    pub max_schedules: u64,
+}
+
+impl Default for LevelCaps {
+    /// The per-request caps of `lfm serve`, smaller than
+    /// [`Budget::default`]'s because one request must stay cheap.
+    fn default() -> LevelCaps {
+        LevelCaps {
+            max_steps: 4_000,
+            max_schedules: 50_000,
         }
     }
 }
@@ -117,7 +145,7 @@ impl fmt::Display for Confidence {
     }
 }
 
-/// Result of [`BudgetedExplorer::run`].
+/// Result of [`BudgetedExplorer::run`] and of [`run_rung`].
 #[derive(Debug, Clone)]
 pub struct BudgetReport {
     /// Outcome histogram of the accepted level.
@@ -134,7 +162,8 @@ pub struct BudgetReport {
     pub truncation: Option<Truncation>,
     /// Every rung attempted, in order (the last one was accepted).
     pub levels_tried: Vec<DegradeLevel>,
-    /// Wall-clock time of the whole ladder.
+    /// Wall-clock time of the whole ladder (of the one rung, for
+    /// [`run_rung`]).
     pub wall: Duration,
 }
 
@@ -152,6 +181,115 @@ impl BudgetReport {
     }
 }
 
+/// Runs `program` at exactly `level` and grades the result.
+///
+/// `deadline` is measured from this call against `clock`; its expiry
+/// stops the rung with [`Truncation::WallDeadline`]. A DFS rung runs
+/// with state dedup and fusion, up to `caps.max_schedules` schedules.
+/// Under `chaos` the sleep-set rung runs as plain dedup, because fault
+/// injection breaks the reduction (see [`Explorer::chaos`]). The PCT
+/// rung samples in batches of 32 seeded trials, re-checking the
+/// deadline between batches, and always runs at least one batch. Its
+/// trial cap is `caps.max_schedules` under a deadline and
+/// `pct_trials` (at most `caps.max_schedules`) without one; reaching
+/// the cap reports [`Truncation::ScheduleBudget`].
+///
+/// The report's `levels_tried` is `[level]` and its `wall` covers this
+/// rung only.
+pub fn run_rung(
+    program: &Program,
+    level: DegradeLevel,
+    caps: LevelCaps,
+    pct_trials: u64,
+    chaos: Option<FaultPlan>,
+    deadline: Option<Duration>,
+    clock: DeadlineClock,
+) -> BudgetReport {
+    let stopwatch = Stopwatch::start();
+    let mut report = BudgetReport {
+        counts: OutcomeCounts::default(),
+        schedules_run: 0,
+        first_failure: None,
+        level,
+        confidence: Confidence::Sampled,
+        truncation: None,
+        levels_tried: vec![level],
+        wall: Duration::ZERO,
+    };
+    if level == DegradeLevel::PctSampling {
+        let seed_base = chaos.map_or(0x5EED, |p| p.seed);
+        let trial_cap = match deadline {
+            Some(_) => caps.max_schedules,
+            None => pct_trials.min(caps.max_schedules),
+        };
+        let mut batch = 0u64;
+        let truncation = loop {
+            let left = trial_cap.saturating_sub(report.schedules_run);
+            let batch_trials = PCT_BATCH.min(left).max(1);
+            let seed = seed_base ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut scheduler =
+                PctScheduler::new(program, seed, PCT_DEPTH).max_steps(caps.max_steps);
+            if let Some(plan) = chaos {
+                scheduler = scheduler.with_faults(plan);
+            }
+            let r = scheduler.run_trials(batch_trials);
+            let counts = &mut report.counts;
+            counts.ok += r.counts.ok;
+            counts.assert_failed += r.counts.assert_failed;
+            counts.deadlock += r.counts.deadlock;
+            counts.step_limit += r.counts.step_limit;
+            counts.tx_retry_limit += r.counts.tx_retry_limit;
+            counts.misuse += r.counts.misuse;
+            report.schedules_run += r.trials;
+            if report.first_failure.is_none() {
+                report.first_failure = r.first_failure;
+            }
+            batch += 1;
+            if report.schedules_run >= trial_cap {
+                break Truncation::ScheduleBudget;
+            }
+            if deadline.is_some_and(|d| clock.elapsed(&stopwatch, report.schedules_run) >= d) {
+                break Truncation::WallDeadline;
+            }
+        };
+        report.truncation = Some(truncation);
+    } else {
+        let limits = ExploreLimits {
+            max_steps: caps.max_steps,
+            max_schedules: caps.max_schedules,
+            max_preemptions: (level == DegradeLevel::PreemptionBounded).then_some(PREEMPTION_BOUND),
+            stop_on_first_failure: false,
+            dedup_states: true,
+            sleep_sets: level == DegradeLevel::SleepSet && chaos.is_none(),
+            dpor: false,
+            fuse: true,
+            deadline,
+        };
+        let mut explorer = Explorer::new(program).limits(limits).deadline_clock(clock);
+        if let Some(plan) = chaos {
+            explorer = explorer.chaos(plan);
+        }
+        let r = explorer.run();
+        let complete = match level {
+            DegradeLevel::PreemptionBounded => {
+                matches!(r.truncation, None | Some(Truncation::PreemptionBound))
+            }
+            _ => r.truncation.is_none(),
+        };
+        report.confidence = match (level, complete) {
+            (_, false) => Confidence::Partial,
+            (DegradeLevel::PreemptionBounded, true) => Confidence::Bounded,
+            (_, true) => Confidence::Proved,
+        };
+        report.counts = r.counts;
+        report.schedules_run = r.schedules_run;
+        report.first_failure = r.first_failure;
+        report.truncation = r.truncation;
+    }
+    report.wall = stopwatch.elapsed();
+    report
+}
+
 /// [`Explorer`] with a wall-clock budget and a degradation ladder.
 #[derive(Debug)]
 pub struct BudgetedExplorer<'p> {
@@ -159,7 +297,6 @@ pub struct BudgetedExplorer<'p> {
     budget: Budget,
     fault: Option<FaultPlan>,
     sink: Arc<dyn Sink>,
-    dpor: bool,
     clock: DeadlineClock,
 }
 
@@ -171,7 +308,6 @@ impl<'p> BudgetedExplorer<'p> {
             budget: Budget::default(),
             fault: None,
             sink: Arc::new(NoopSink),
-            dpor: false,
             clock: DeadlineClock::Wall,
         }
     }
@@ -187,16 +323,6 @@ impl<'p> BudgetedExplorer<'p> {
     /// [`DeadlineClock`]).
     pub fn deadline_clock(mut self, clock: DeadlineClock) -> BudgetedExplorer<'p> {
         self.clock = clock;
-        self
-    }
-
-    /// Requests source-set DPOR on the DFS rungs. The exhaustive and
-    /// sleep-set rungs run it (dedup yields to the race log, sleep sets
-    /// compose on the second rung); the preemption-bounded rung and any
-    /// chaos run silently fall back to the classic search, exactly as
-    /// [`ExploreLimits::dpor`] resolves everywhere else.
-    pub fn dpor(mut self, on: bool) -> BudgetedExplorer<'p> {
-        self.dpor = on;
         self
     }
 
@@ -222,18 +348,25 @@ impl<'p> BudgetedExplorer<'p> {
     pub fn run(&self) -> BudgetReport {
         let stopwatch = Stopwatch::start();
         self.emit_start();
+        let caps = LevelCaps {
+            max_steps: self.budget.max_steps,
+            max_schedules: self.budget.max_schedules,
+        };
         let mut levels_tried = Vec::new();
         // Schedules run by earlier rungs: what a per-schedule deadline
         // clock has spent.
         let mut spent = 0u64;
 
-        // Deadline slices per DFS rung; PCT gets whatever remains.
+        // Deadline slices per DFS rung; PCT gets whatever remains, and
+        // always runs.
         let ladder = [
             (DegradeLevel::Exhaustive, 0.40),
             (DegradeLevel::SleepSet, 0.25),
             (DegradeLevel::PreemptionBounded, 0.20),
+            (DegradeLevel::PctSampling, 1.0),
         ];
         for (level, fraction) in ladder {
+            let last = level == DegradeLevel::PctSampling;
             if level == DegradeLevel::SleepSet && self.fault.is_some() {
                 continue;
             }
@@ -242,123 +375,32 @@ impl<'p> BudgetedExplorer<'p> {
                     .mul_f64(fraction)
                     .min(total.saturating_sub(self.clock.elapsed(&stopwatch, spent)))
             });
-            if slice.is_some_and(|s| s.is_zero()) {
+            if !last && slice.is_some_and(|s| s.is_zero()) {
                 continue;
             }
-            let limits = ExploreLimits {
-                max_steps: self.budget.max_steps,
-                max_schedules: self.budget.max_schedules,
-                max_preemptions: (level == DegradeLevel::PreemptionBounded)
-                    .then_some(PREEMPTION_BOUND),
-                stop_on_first_failure: false,
-                dedup_states: true,
-                sleep_sets: level == DegradeLevel::SleepSet,
-                dpor: self.dpor,
-                fuse: true,
-                deadline: slice,
-            };
-            let mut explorer = Explorer::new(self.program)
-                .limits(limits)
-                .deadline_clock(self.clock);
-            if let Some(plan) = self.fault {
-                explorer = explorer.chaos(plan);
-            }
-            let report = explorer.run();
+            let mut report = run_rung(
+                self.program,
+                level,
+                caps,
+                LADDER_PCT_TRIALS,
+                self.fault,
+                slice,
+                self.clock,
+            );
             levels_tried.push(level);
             spent += report.schedules_run;
             let out_of_budget = matches!(
                 report.truncation,
                 Some(Truncation::WallDeadline) | Some(Truncation::ScheduleBudget)
             );
-            if report.found_failure() || !out_of_budget {
-                let confidence = match level {
-                    DegradeLevel::Exhaustive | DegradeLevel::SleepSet => {
-                        if report.truncation.is_none() {
-                            Confidence::Proved
-                        } else {
-                            Confidence::Partial
-                        }
-                    }
-                    DegradeLevel::PreemptionBounded => {
-                        if matches!(report.truncation, None | Some(Truncation::PreemptionBound)) {
-                            Confidence::Bounded
-                        } else {
-                            Confidence::Partial
-                        }
-                    }
-                    DegradeLevel::PctSampling => Confidence::Sampled,
-                };
-                return self.accept(BudgetReport {
-                    counts: report.counts,
-                    schedules_run: report.schedules_run,
-                    first_failure: report.first_failure,
-                    level,
-                    confidence,
-                    truncation: report.truncation,
-                    levels_tried,
-                    wall: stopwatch.elapsed(),
-                });
+            if last || report.found_failure() || !out_of_budget {
+                report.levels_tried = levels_tried;
+                report.wall = stopwatch.elapsed();
+                return self.accept(report);
             }
             self.emit_degrade(level, report.truncation);
         }
-
-        // Last rung: PCT sampling in small batches, re-checking the
-        // deadline between batches. At least one batch always runs.
-        levels_tried.push(DegradeLevel::PctSampling);
-        let seed_base = self.fault.map_or(0x5EED, |p| p.seed);
-        let mut counts = OutcomeCounts::default();
-        let mut first_failure = None;
-        let mut trials = 0u64;
-        let mut batch = 0u64;
-        let trial_cap = match self.budget.deadline {
-            Some(_) => self.budget.max_schedules,
-            None => PCT_DEFAULT_TRIALS.min(self.budget.max_schedules),
-        };
-        loop {
-            let batch_trials = PCT_BATCH.min(trial_cap.saturating_sub(trials)).max(1);
-            let seed = seed_base ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut scheduler =
-                PctScheduler::new(self.program, seed, PCT_DEPTH).max_steps(self.budget.max_steps);
-            if let Some(plan) = self.fault {
-                scheduler = scheduler.with_faults(plan);
-            }
-            let r = scheduler.run_trials(batch_trials);
-            counts.ok += r.counts.ok;
-            counts.assert_failed += r.counts.assert_failed;
-            counts.deadlock += r.counts.deadlock;
-            counts.step_limit += r.counts.step_limit;
-            counts.tx_retry_limit += r.counts.tx_retry_limit;
-            counts.misuse += r.counts.misuse;
-            trials += r.trials;
-            if first_failure.is_none() {
-                first_failure = r.first_failure;
-            }
-            batch += 1;
-            if trials >= trial_cap {
-                break;
-            }
-            if let Some(deadline) = self.budget.deadline {
-                if self.clock.elapsed(&stopwatch, spent + trials) >= deadline {
-                    break;
-                }
-            }
-        }
-        let truncation = match self.budget.deadline {
-            Some(deadline) if self.clock.elapsed(&stopwatch, spent + trials) >= deadline => {
-                Some(Truncation::WallDeadline)
-            }
-            _ => Some(Truncation::ScheduleBudget),
-        };
-        self.accept(BudgetReport {
-            counts,
-            schedules_run: trials,
-            first_failure,
-            level: DegradeLevel::PctSampling,
-            confidence: Confidence::Sampled,
-            truncation,
-            levels_tried,
-            wall: stopwatch.elapsed(),
-        })
+        unreachable!("the PCT rung always accepts")
     }
 
     fn emit_start(&self) {
@@ -522,6 +564,7 @@ mod tests {
             ]
         );
         assert!(report.schedules_run <= 2);
+        assert_eq!(report.truncation, Some(Truncation::ScheduleBudget));
     }
 
     #[test]
@@ -547,27 +590,49 @@ mod tests {
     }
 
     #[test]
-    fn dpor_ladder_agrees_with_classic_on_verdicts() {
-        for p in [racy_counter(), locked_counter()] {
-            let classic = BudgetedExplorer::new(&p).run();
-            let dpor = BudgetedExplorer::new(&p).dpor(true).run();
-            assert_eq!(classic.level, dpor.level, "{}: level", p.name());
-            assert_eq!(
-                classic.confidence,
-                dpor.confidence,
-                "{}: confidence",
-                p.name()
-            );
-            assert_eq!(
-                classic.found_failure(),
-                dpor.found_failure(),
-                "{}: verdict",
-                p.name()
-            );
-            // No schedule-count comparison: the classic ladder runs
-            // with state dedup, which DPOR soundly disables, so either
-            // side can be smaller depending on the program's shape.
+    fn pct_rung_reports_what_stopped_it() {
+        let p = racy_counter();
+        let caps = LevelCaps {
+            max_steps: 100,
+            max_schedules: 64,
+        };
+        let pct = |deadline, clock| {
+            run_rung(
+                &p,
+                DegradeLevel::PctSampling,
+                caps,
+                512,
+                None,
+                deadline,
+                clock,
+            )
+        };
+        // The trial cap ends the run, with or without a deadline.
+        for deadline in [None, Some(Duration::from_secs(60))] {
+            let report = pct(deadline, DeadlineClock::Wall);
+            assert_eq!(report.truncation, Some(Truncation::ScheduleBudget));
+            assert_eq!(report.schedules_run, 64);
+            assert_eq!(report.confidence, Confidence::Sampled);
         }
+        // The deadline ends it after the first batch of 32 trials.
+        let report = pct(
+            Some(Duration::from_millis(1)),
+            DeadlineClock::PerSchedule(Duration::from_millis(1)),
+        );
+        assert_eq!(report.truncation, Some(Truncation::WallDeadline));
+        assert_eq!(report.schedules_run, 32);
+        // Without a deadline the caller's trial cap applies.
+        let report = run_rung(
+            &p,
+            DegradeLevel::PctSampling,
+            LevelCaps::default(),
+            40,
+            None,
+            None,
+            DeadlineClock::Wall,
+        );
+        assert_eq!(report.schedules_run, 40);
+        assert_eq!(report.truncation, Some(Truncation::ScheduleBudget));
     }
 
     #[test]

@@ -96,7 +96,9 @@ pub mod timeline;
 pub mod trace;
 pub mod witness;
 
-pub use budget::{Budget, BudgetReport, BudgetedExplorer, Confidence, DegradeLevel};
+pub use budget::{
+    run_rung, Budget, BudgetReport, BudgetedExplorer, Confidence, DegradeLevel, LevelCaps,
+};
 pub use coverage::{PairCoverage, PairKey};
 pub use error::{BuildError, ExecError};
 pub use exec::{Executor, RecordMode, ReplayDeviation, StepResult};

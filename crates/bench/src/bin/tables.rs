@@ -11,15 +11,16 @@
 //! cargo run -p lfm-bench --bin tables -- --check-serve BENCH_serve.json
 //! ```
 //!
-//! `--bench-explore` runs the E-perf, E-dpor and E-fuse measurements
-//! at their reference budgets and writes the `lfm-bench-explore/v1`
-//! document; CI uploads it as an artifact. `--check-explore` reruns
-//! them and exits non-zero when the DPOR gate fails (outcome-set
-//! divergence from full enumeration, or less than the 2x
-//! schedule-reduction floor on the two deepest kernels), when the fuse
-//! gate fails (fused outcome sets diverging from unfused ones, fusion
-//! increasing any schedule count, or less than the 1.5x
-//! fusion-alone reduction floor on `livelock_retry` / `toctou_flag`)
+//! `--bench-explore` runs the E-perf sweep and the reduction ledger
+//! behind E-dpor and E-fuse (once each) at their reference budgets and
+//! writes the `lfm-bench-explore/v1` document; CI uploads it as an
+//! artifact. `--check-explore` reruns them and exits non-zero when the
+//! DPOR gate fails (outcome-set divergence from full enumeration, or
+//! less than the 2x schedule-reduction floor on the two deepest
+//! kernels), when the fuse gate fails (fused outcome sets diverging
+//! from unfused ones, fusion increasing any schedule count, or less
+//! than the 1.5x fusion-alone reduction floor on `livelock_retry` /
+//! `toctou_flag`)
 //! — both deterministic, enforced on every host — or when serial
 //! explorer throughput on the gate kernel regressed more than 30%
 //! against the committed baseline (skipped on single-core hosts,
@@ -42,9 +43,8 @@ const CHECK_FLOOR: f64 = 0.70;
 
 fn bench_explore(path: &str) -> ! {
     let report = lfm_bench::perf_measure(lfm_bench::PERF_BUDGET);
-    let dpor = lfm_bench::dpor_measure(lfm_bench::DPOR_BUDGET);
-    let fuse = lfm_bench::fuse_measure(lfm_bench::FUSE_BUDGET);
-    let doc = lfm_bench::perf_json(&report, &dpor, &fuse);
+    let ledger = lfm_bench::Ledger::measure(lfm_bench::LEDGER_BUDGET);
+    let doc = lfm_bench::perf_json(&report, &ledger);
     if let Err(e) = std::fs::write(path, &doc) {
         eprintln!("cannot write explore benchmark to `{path}`: {e}");
         std::process::exit(1);
@@ -52,41 +52,22 @@ fn bench_explore(path: &str) -> ! {
     if let Some(r) = report.row(lfm_bench::PERF_GATE_KERNEL) {
         eprintln!("{}: {:.0} states/sec", r.kernel, r.states_per_sec);
     }
-    for r in dpor.deepest() {
-        eprintln!(
-            "{}: {} full vs {} dpor schedules (reduction {}{:.2}x, outcomes {})",
-            r.kernel,
-            r.full_schedules,
-            r.dpor_schedules,
-            if r.full_complete { "" } else { ">=" },
-            r.reduction,
-            if r.compared { "compared" } else { "truncated" }
-        );
-    }
-    let dpor_failures = dpor.gate_failures();
-    for f in &dpor_failures {
-        eprintln!("dpor gate: {f}");
-    }
-    for kernel in lfm_bench::FUSE_GATE_KERNELS {
-        if let Some(r) = fuse.row(kernel) {
-            eprintln!(
-                "{}: {} unfused vs {} fused schedules (reduction {}{:.2}x, \
-                 dpor composition {:.2}x)",
-                r.kernel,
-                r.base_schedules,
-                r.fused_schedules,
-                if r.base_complete { "" } else { ">=" },
-                r.reduction,
-                r.composed_reduction,
-            );
+    let mut ok = true;
+    for gate in [ledger.dpor_gate(), ledger.fuse_gate()] {
+        for r in &gate.rows {
+            let outcomes = match r.compared {
+                Some(true) => ", outcomes compared",
+                Some(false) => ", outcomes truncated",
+                None => "",
+            };
+            eprintln!("{}: {} ({}{outcomes})", r.kernel, r.counts, r.reductions);
         }
-    }
-    let fuse_failures = fuse.gate_failures();
-    for f in &fuse_failures {
-        eprintln!("fuse gate: {f}");
+        for f in &gate.failures {
+            eprintln!("{} gate: {f}", gate.name);
+        }
+        ok &= gate.failures.is_empty();
     }
     eprintln!("explore benchmark written to {path}");
-    let ok = dpor_failures.is_empty() && fuse_failures.is_empty();
     std::process::exit(if ok { 0 } else { 1 });
 }
 
@@ -103,70 +84,30 @@ fn check_explore(path: &str) -> ! {
         eprintln!("baseline `{path}` has no states_per_sec for `{kernel}`");
         std::process::exit(1);
     };
-    // The DPOR half of the gate first: schedule counts and outcome
-    // sets are deterministic, so unlike the throughput floor below it
-    // holds on every host, single-core included.
-    let dpor = lfm_bench::dpor_measure(lfm_bench::DPOR_BUDGET);
-    for r in dpor.deepest() {
-        let drift = match lfm_bench::baseline_dpor_schedules(&baseline, r.kernel) {
-            Some(expected) if expected != r.dpor_schedules => format!(
-                " (baseline ran {expected} — search semantics drifted; \
-                 regenerate with --bench-explore if intentional)"
-            ),
-            Some(_) => String::new(),
-            None => " (no dpor baseline committed)".to_string(),
-        };
-        eprintln!(
-            "{}: {} full vs {} dpor schedules, reduction {}{:.2}x{drift}",
-            r.kernel,
-            r.full_schedules,
-            r.dpor_schedules,
-            if r.full_complete { "" } else { ">=" },
-            r.reduction,
-        );
-    }
-    let dpor_failures = dpor.gate_failures();
-    if !dpor_failures.is_empty() {
-        for f in &dpor_failures {
-            eprintln!("dpor gate: {f}");
+    // The DPOR and fuse gates first: schedule counts and outcome sets
+    // are deterministic, so unlike the throughput floor below they hold
+    // on every host, single-core included.
+    let ledger = lfm_bench::Ledger::measure(lfm_bench::LEDGER_BUDGET);
+    for gate in [ledger.dpor_gate(), ledger.fuse_gate()] {
+        for r in &gate.rows {
+            let drift = match lfm_bench::baseline_gate_schedules(&baseline, gate.name, r.kernel) {
+                Some(expected) if expected != r.schedules => format!(
+                    " (baseline ran {expected} — search semantics drifted; \
+                     regenerate with --bench-explore if intentional)"
+                ),
+                Some(_) => String::new(),
+                None => format!(" (no {} baseline committed)", gate.name),
+            };
+            eprintln!("{}: {}, {}{drift}", r.kernel, r.counts, r.reductions);
         }
-        std::process::exit(1);
-    }
-    eprintln!("dpor gate passed");
-    // The fuse half: equally deterministic — fused outcome sets must
-    // equal unfused ones mode-for-mode, fusion must never increase a
-    // schedule count, and the gate kernels must clear the
-    // fusion-alone reduction floor.
-    let fuse = lfm_bench::fuse_measure(lfm_bench::FUSE_BUDGET);
-    for kernel in lfm_bench::FUSE_GATE_KERNELS {
-        let Some(r) = fuse.row(kernel) else { continue };
-        let drift = match lfm_bench::baseline_fused_schedules(&baseline, r.kernel) {
-            Some(expected) if expected != r.fused_schedules => format!(
-                " (baseline ran {expected} — search semantics drifted; \
-                 regenerate with --bench-explore if intentional)"
-            ),
-            Some(_) => String::new(),
-            None => " (no fuse baseline committed)".to_string(),
-        };
-        eprintln!(
-            "{}: {} unfused vs {} fused schedules, reduction {}{:.2}x, \
-             dpor composition {:.2}x{drift}",
-            r.kernel,
-            r.base_schedules,
-            r.fused_schedules,
-            if r.base_complete { "" } else { ">=" },
-            r.reduction,
-            r.composed_reduction,
-        );
-    }
-    let fuse_failures = fuse.gate_failures();
-    if !fuse_failures.is_empty() {
-        for f in &fuse_failures {
-            eprintln!("fuse gate: {f}");
+        if !gate.failures.is_empty() {
+            for f in &gate.failures {
+                eprintln!("{} gate: {f}", gate.name);
+            }
+            std::process::exit(1);
         }
-        std::process::exit(1);
+        eprintln!("{} gate passed", gate.name);
     }
-    eprintln!("fuse gate passed");
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -305,40 +246,22 @@ fn check_serve(path: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let markdown = args.iter().any(|a| a == "--markdown");
-    let only = args
-        .iter()
-        .position(|a| a == "--only")
-        .and_then(|i| args.get(i + 1));
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1));
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--bench-explore")
-        .and_then(|i| args.get(i + 1))
-    {
+    let value = |flag: &str| {
+        let at = args.iter().position(|a| a == flag)?;
+        args.get(at + 1)
+    };
+    let only = value("--only");
+    let json_path = value("--json");
+    if let Some(path) = value("--bench-explore") {
         bench_explore(path);
     }
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--check-explore")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(path) = value("--check-explore") {
         check_explore(path);
     }
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--bench-serve")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(path) = value("--bench-serve") {
         bench_serve(path);
     }
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--check-serve")
-        .and_then(|i| args.get(i + 1))
-    {
+    if let Some(path) = value("--check-serve") {
         check_serve(path);
     }
 

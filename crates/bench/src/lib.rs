@@ -12,8 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod dpor;
-pub mod fuse;
+pub mod ledger;
 pub mod obs;
 pub mod par;
 pub mod perf;
@@ -21,16 +20,14 @@ pub mod serve;
 pub mod snapshot;
 
 pub use chaos::{chaos_comparison, chaos_table, ChaosRow};
-pub use dpor::{dpor_measure, dpor_table, DporReport, DporRow, DPOR_BUDGET, DPOR_FLOOR};
-pub use fuse::{
-    fuse_measure, fuse_table, FuseReport, FuseRow, FUSE_BUDGET, FUSE_FLOOR, FUSE_GATE_KERNELS,
+pub use ledger::{
+    baseline_gate_schedules, Ledger, DPOR_FLOOR, FUSE_FLOOR, FUSE_GATE_KERNELS, LEDGER_BUDGET,
 };
 pub use obs::{obs_json, obs_measure, obs_table, ObsReport, ObsRow, OBS_BUDGET, OBS_TARGET_PCT};
 pub use par::{par_scaling, par_table, ParRow, ParScaling};
 pub use perf::{
-    baseline_dpor_schedules, baseline_fused_schedules, baseline_states_per_sec, perf_json,
-    perf_measure, perf_table, PerfReport, PerfRow, BENCH_EXPLORE_SCHEMA, PERF_BUDGET,
-    PERF_GATE_KERNEL,
+    baseline_states_per_sec, perf_json, perf_measure, perf_table, PerfReport, PerfRow,
+    BENCH_EXPLORE_SCHEMA, PERF_BUDGET, PERF_GATE_KERNEL,
 };
 pub use serve::{
     baseline_requests_per_sec, serve_json, serve_measure, serve_table, trace_overhead_measure,
@@ -211,8 +208,8 @@ impl Artifact {
             Artifact::Chaos => table(chaos::chaos_table(200)),
             Artifact::Par => table(par::par_table(ExploreLimits::default().max_schedules)),
             Artifact::Perf => table(perf::perf_table(perf::PERF_BUDGET)),
-            Artifact::Dpor => table(dpor::dpor_table(dpor::DPOR_BUDGET)),
-            Artifact::Fuse => table(fuse::fuse_table(fuse::FUSE_BUDGET)),
+            Artifact::Dpor => table(Ledger::measure(LEDGER_BUDGET).dpor_table()),
+            Artifact::Fuse => table(Ledger::measure(LEDGER_BUDGET).fuse_table()),
             Artifact::Witness => table(witness_table()),
             Artifact::Obs => table(obs::obs_table(obs::OBS_BUDGET)),
             Artifact::Serve => table(serve::serve_table()),

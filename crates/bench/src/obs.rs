@@ -30,8 +30,6 @@ use lfm_obs::{json, FlightRecorder, PhaseProfile, PhaseProfiler};
 use lfm_sim::{ExploreLimits, Explorer};
 use lfm_study::Table;
 
-use crate::perf::reports_identical;
-
 /// Schedule budget for the tables-binary run (same as E-perf's
 /// `PERF_BUDGET`, so the two experiments describe the same workload).
 pub const OBS_BUDGET: u64 = 2_000;
@@ -160,7 +158,7 @@ pub fn obs_measure(max_schedules: u64) -> ObsReport {
             let identical = off_runs
                 .iter()
                 .zip(on_runs.iter())
-                .all(|(off, on)| reports_identical(off, on));
+                .all(|(off, on)| off.without_wall() == on.without_wall());
             let profile = profiles.swap_remove(fastest(&on_runs));
             let off = off_runs.swap_remove(fastest(&off_runs));
             let on = on_runs.swap_remove(fastest(&on_runs));

@@ -18,7 +18,7 @@
 //! snapshot is interpretable after the fact.
 
 use lfm_kernels::registry;
-use lfm_sim::{ExploreLimits, ExploreReport, Explorer, ParExplorer};
+use lfm_sim::{ExploreLimits, Explorer, ParExplorer};
 use lfm_study::Table;
 
 /// The kernel the scaling experiment runs on: the largest state space
@@ -77,24 +77,6 @@ impl ParScaling {
     }
 }
 
-/// Field-for-field report equality, ignoring only the measured wall
-/// time (the one field a clock writes rather than the search).
-fn reports_identical(a: &ExploreReport, b: &ExploreReport) -> bool {
-    a.counts == b.counts
-        && a.schedules_run == b.schedules_run
-        && a.steps_total == b.steps_total
-        && a.truncated == b.truncated
-        && a.first_failure == b.first_failure
-        && a.first_ok == b.first_ok
-        && a.states_deduped == b.states_deduped
-        && a.sleep_pruned == b.sleep_pruned
-        && a.truncation == b.truncation
-        && a.stats.branch_points == b.stats.branch_points
-        && a.stats.snapshots == b.stats.snapshots
-        && a.stats.max_depth == b.stats.max_depth
-        && a.stats.preemption_limited == b.stats.preemption_limited
-}
-
 /// Runs the scaling comparison: one serial full enumeration of
 /// [`PAR_KERNEL`] capped at `max_schedules`, then the parallel explorer
 /// at each of [`PAR_JOBS`] under the same limits.
@@ -123,7 +105,7 @@ pub fn par_scaling(max_schedules: u64) -> ParScaling {
                 wall_us,
                 speedup: serial_wall_us as f64 / (wall_us.max(1)) as f64,
                 schedules_per_sec: report.schedules_per_sec(),
-                identical: reports_identical(&serial, &report),
+                identical: serial.without_wall() == report.without_wall(),
             }
         })
         .collect();

@@ -14,9 +14,11 @@
 //! representation is a historical result (EXPERIMENTS.md, E-perf).
 
 use lfm_kernels::registry;
-use lfm_obs::json;
-use lfm_sim::{ExploreLimits, ExploreReport, Explorer};
+use lfm_obs::json::{self, Json};
+use lfm_sim::{ExploreLimits, Explorer};
 use lfm_study::Table;
+
+use crate::ledger::Ledger;
 
 /// Schedule budget used for the committed `BENCH_explore.json`
 /// baseline and the CI regression check (kept in one place so the two
@@ -70,25 +72,6 @@ impl PerfReport {
     pub fn row(&self, kernel: &str) -> Option<&PerfRow> {
         self.rows.iter().find(|r| r.kernel == kernel)
     }
-}
-
-/// Field-for-field report equality, ignoring only the measured wall
-/// time.
-pub(crate) fn reports_identical(a: &ExploreReport, b: &ExploreReport) -> bool {
-    a.counts == b.counts
-        && a.schedules_run == b.schedules_run
-        && a.steps_total == b.steps_total
-        && a.truncated == b.truncated
-        && a.first_failure == b.first_failure
-        && a.first_ok == b.first_ok
-        && a.states_deduped == b.states_deduped
-        && a.sleep_pruned == b.sleep_pruned
-        && a.truncation == b.truncation
-        && a.stats.branch_points == b.stats.branch_points
-        && a.stats.snapshots == b.stats.snapshots
-        && a.stats.max_depth == b.stats.max_depth
-        && a.stats.preemption_limited == b.stats.preemption_limited
-        && a.est_total_schedules.to_bits() == b.est_total_schedules.to_bits()
 }
 
 fn explore_limits(max_schedules: u64) -> ExploreLimits {
@@ -172,15 +155,9 @@ pub fn perf_table(max_schedules: u64) -> Table {
 }
 
 /// Serializes the measurement as the `BENCH_explore.json` document
-/// (`lfm-bench-explore/v1`). The `dpor` and `fuse` sections are
-/// additive to the schema: older documents simply lack them, and
-/// [`baseline_dpor_schedules`] / [`baseline_fused_schedules`] return
-/// `None` on them.
-pub fn perf_json(
-    report: &PerfReport,
-    dpor: &crate::dpor::DporReport,
-    fuse: &crate::fuse::FuseReport,
-) -> String {
+/// (`lfm-bench-explore/v1`): the sweep rows, then the ledger's `dpor`
+/// and `fuse` sections (see [`Ledger::write_json`]).
+pub fn perf_json(report: &PerfReport, ledger: &Ledger) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(4096);
     let _ = write!(
@@ -208,124 +185,37 @@ pub fn perf_json(
             r.max_depth,
         );
     }
-    out.push_str("],\"dpor\":{");
-    let _ = write!(
-        out,
-        "\"budget\":{},\"floor\":{},\"rows\":[",
-        dpor.budget,
-        json::number_f64(crate::dpor::DPOR_FLOOR),
-    );
-    for (i, r) in dpor.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"family\":{},\"max_depth\":{},\"full_schedules\":{},\
-             \"full_complete\":{},\"dpor_schedules\":{},\"dpor_complete\":{},\
-             \"reduction\":{},\"compared\":{},\"outcomes_match\":{}}}",
-            json::quote(r.kernel),
-            json::quote(&r.family),
-            r.max_depth,
-            r.full_schedules,
-            r.full_complete,
-            r.dpor_schedules,
-            r.dpor_complete,
-            json::number_f64(r.reduction),
-            r.compared,
-            r.outcomes_match,
-        );
-    }
-    out.push_str("]},\"fuse\":{");
-    let _ = write!(
-        out,
-        "\"budget\":{},\"floor\":{},\"rows\":[",
-        fuse.budget,
-        json::number_f64(crate::fuse::FUSE_FLOOR),
-    );
-    for (i, r) in fuse.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"kernel\":{},\"family\":{},\"base_schedules\":{},\"base_complete\":{},\
-             \"fused_schedules\":{},\"fused_complete\":{},\"fused_steps\":{},\
-             \"reduction\":{},\"dpor_schedules\":{},\"dpor_complete\":{},\
-             \"dpor_fused_schedules\":{},\"dpor_fused_complete\":{},\
-             \"composed_reduction\":{},\"compared\":{},\"outcomes_match\":{},\
-             \"dpor_compared\":{},\"dpor_outcomes_match\":{}}}",
-            json::quote(r.kernel),
-            json::quote(&r.family),
-            r.base_schedules,
-            r.base_complete,
-            r.fused_schedules,
-            r.fused_complete,
-            r.fused_steps,
-            json::number_f64(r.reduction),
-            r.dpor_schedules,
-            r.dpor_complete,
-            r.dpor_fused_schedules,
-            r.dpor_fused_complete,
-            json::number_f64(r.composed_reduction),
-            r.compared,
-            r.outcomes_match,
-            r.dpor_compared,
-            r.dpor_outcomes_match,
-        );
-    }
-    out.push_str("]}}");
+    out.push(']');
+    ledger.write_json(&mut out);
+    out.push('}');
     out
 }
 
-/// Extracts the committed DPOR schedule count for `kernel` from a
-/// `BENCH_explore.json` document. Schedule counts are deterministic,
-/// so `--check-explore` can flag drift against the baseline exactly —
-/// drift means the search semantics changed, which is fine only when
-/// it is intentional (regenerate with `--bench-explore`). Returns
-/// `None` for documents predating the `dpor` section.
-pub fn baseline_dpor_schedules(doc: &str, kernel: &str) -> Option<u64> {
-    let dpor = doc.find("\"dpor\":")?;
-    let tail = &doc[dpor..];
-    let marker = format!("\"kernel\":{}", json::quote(kernel));
-    let at = tail.find(&marker)?;
-    object_field(&tail[at..], "dpor_schedules").map(|v| v as u64)
-}
-
-/// Extracts the committed fused schedule count for `kernel` from a
-/// `BENCH_explore.json` document, for the same deterministic drift
-/// check [`baseline_dpor_schedules`] gives DPOR. Returns `None` for
-/// documents predating the `fuse` section.
-pub fn baseline_fused_schedules(doc: &str, kernel: &str) -> Option<u64> {
-    let fuse = doc.find("\"fuse\":")?;
-    let tail = &doc[fuse..];
-    let marker = format!("\"kernel\":{}", json::quote(kernel));
-    let at = tail.find(&marker)?;
-    object_field(&tail[at..], "fused_schedules").map(|v| v as u64)
-}
-
 /// Extracts the gate throughput for `kernel` — its sweep row's
-/// `"states_per_sec"` — from a `BENCH_explore.json` document without a
-/// JSON parser. The sweep rows come first in the document, so the
-/// `dpor` and `fuse` rows naming the same kernel are never read.
-/// Returns `None` when the kernel or field is missing or malformed.
+/// `"states_per_sec"` — from a `BENCH_explore.json` document. Returns
+/// `None` when the document, the kernel or the field is missing or
+/// malformed.
 pub fn baseline_states_per_sec(doc: &str, kernel: &str) -> Option<f64> {
-    let at = doc.find(&format!("\"kernel\":{}", json::quote(kernel)))?;
-    object_field(&doc[at..], "states_per_sec")
+    baseline_field(doc, &["kernels"], ("kernel", kernel), "states_per_sec")?.as_f64()
 }
 
-/// Reads `"name":<number>` inside the object fragment starting at
-/// `rest` (everything up to the first `}`). Shared with the E-serve
-/// baseline extractor, which reads the same committed-JSON shape.
-pub(crate) fn object_field(rest: &str, name: &str) -> Option<f64> {
-    let obj = &rest[..rest.find('}')?];
-    let needle = format!("\"{name}\":");
-    let field = obj.find(&needle)?;
-    let val = &obj[field + needle.len()..];
-    let end = val
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(val.len());
-    val[..end].parse().ok()
+/// Reads `field` of the row whose `key` member equals the given string
+/// in the array at `path` of a committed baseline document. Shared by
+/// the explore and serve baseline readers; `None` when the document
+/// does not parse or lacks the array, the row or the field.
+pub(crate) fn baseline_field(
+    doc: &str,
+    path: &[&str],
+    (key, value): (&str, &str),
+    field: &str,
+) -> Option<Json> {
+    let doc = Json::parse(doc).ok()?;
+    let rows = path.iter().try_fold(&doc, |node, name| node.get(name))?;
+    let row = rows
+        .as_array()?
+        .iter()
+        .find(|row| row.get(key).and_then(Json::as_str) == Some(value))?;
+    row.get(field).cloned()
 }
 
 #[cfg(test)]
@@ -354,10 +244,10 @@ mod tests {
 
     #[test]
     fn json_round_trips_the_gate_kernel() {
+        use crate::ledger::baseline_gate_schedules;
         let report = perf_measure(100);
-        let dpor = crate::dpor::dpor_measure(500);
-        let fuse = crate::fuse::fuse_measure(500);
-        let doc = perf_json(&report, &dpor, &fuse);
+        let ledger = Ledger::measure(500);
+        let doc = perf_json(&report, &ledger);
         assert!(doc.starts_with("{\"schema\":\"lfm-bench-explore/v1\""));
         let opens = doc.matches('{').count() + doc.matches('[').count();
         let closes = doc.matches('}').count() + doc.matches(']').count();
@@ -373,21 +263,32 @@ mod tests {
         assert_eq!(baseline_states_per_sec(&doc, "no_such_kernel"), None);
         assert_eq!(baseline_states_per_sec("{}", PERF_GATE_KERNEL), None);
         // The dpor section round-trips exactly (counts are integers).
-        let gate = dpor.row(PERF_GATE_KERNEL).expect("gate kernel measured");
+        let gate = ledger.row(PERF_GATE_KERNEL).expect("gate kernel measured");
         assert_eq!(
-            baseline_dpor_schedules(&doc, PERF_GATE_KERNEL),
-            Some(gate.dpor_schedules)
+            baseline_gate_schedules(&doc, "dpor", PERF_GATE_KERNEL),
+            Some(gate.dpor.schedules)
         );
-        assert_eq!(baseline_dpor_schedules(&doc, "no_such_kernel"), None);
-        assert_eq!(baseline_dpor_schedules("{}", PERF_GATE_KERNEL), None);
+        assert_eq!(
+            baseline_gate_schedules(&doc, "dpor", "no_such_kernel"),
+            None
+        );
+        assert_eq!(
+            baseline_gate_schedules("{}", "dpor", PERF_GATE_KERNEL),
+            None
+        );
         // The fuse section round-trips exactly too.
-        let fuse_gate = fuse.row(PERF_GATE_KERNEL).expect("gate kernel measured");
         assert_eq!(
-            baseline_fused_schedules(&doc, PERF_GATE_KERNEL),
-            Some(fuse_gate.fused_schedules)
+            baseline_gate_schedules(&doc, "fuse", PERF_GATE_KERNEL),
+            Some(gate.full_fused.schedules)
         );
-        assert_eq!(baseline_fused_schedules(&doc, "no_such_kernel"), None);
-        assert_eq!(baseline_fused_schedules("{}", PERF_GATE_KERNEL), None);
+        assert_eq!(
+            baseline_gate_schedules(&doc, "fuse", "no_such_kernel"),
+            None
+        );
+        assert_eq!(
+            baseline_gate_schedules("{}", "fuse", PERF_GATE_KERNEL),
+            None
+        );
         // The sweep extractor must not be confused by the dpor or fuse
         // rows that mention the same kernel ids further down the
         // document.

@@ -325,12 +325,16 @@ pub fn serve_json(report: &ServeReport) -> String {
 }
 
 /// Extracts the gate throughput for `scenario` from a
-/// `BENCH_serve.json` document without a JSON parser. Returns `None`
-/// when the scenario or field is missing or malformed.
+/// `BENCH_serve.json` document. Returns `None` when the document, the
+/// scenario or the field is missing or malformed.
 pub fn baseline_requests_per_sec(doc: &str, scenario: &str) -> Option<f64> {
-    let marker = format!("\"scenario\":{}", json::quote(scenario));
-    let at = doc.find(&marker)?;
-    crate::perf::object_field(&doc[at..], "requests_per_sec")
+    crate::perf::baseline_field(
+        doc,
+        &["scenarios"],
+        ("scenario", scenario),
+        "requests_per_sec",
+    )?
+    .as_f64()
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! lfm kernel <id> --stats                          # exploration metrics
 //! lfm kernel <id> --chaos 42                       # seeded fault injection
 //! lfm kernel <id> --deadline 10                    # budgeted, may degrade
-//! lfm explore <id> --dpor                          # partial-order reduction
+//! lfm explore <id> --stats                         # counters + phase wall time
 //! lfm explore <id> --progress                      # periodic progress estimates
 //! lfm witness <id> --out w.json --chrome t.json   # minimized portable witness
 //! lfm replay w.json                                # verify a saved witness
@@ -85,15 +85,10 @@ pub enum Command {
         /// per-phase wall time) after the results.
         stats: bool,
     },
-    /// `lfm explore <id> [--dpor] [--no-fuse] [--stats] [--progress]`
+    /// `lfm explore <id> [--no-fuse] [--stats] [--progress]`
     Explore {
         /// The kernel id.
         id: String,
-        /// Source-set dynamic partial-order reduction: prune
-        /// interleavings that only reorder independent steps. Outcome
-        /// kinds are preserved; schedule counts shrink. Ignored under
-        /// `--chaos` (step-indexed faults break trace equivalence).
-        dpor: bool,
         /// Disable invisible-step fusion, restoring a branch point at
         /// every multi-enabled state. Fusion is on by default (it
         /// preserves outcome sets and shrinks schedule counts); the
@@ -391,17 +386,13 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
         }
         Some("explore") => {
             let id = it.next().ok_or_else(|| {
-                UsageError(
-                    "usage: lfm explore <id> [--dpor] [--no-fuse] [--stats] [--progress]".into(),
-                )
+                UsageError("usage: lfm explore <id> [--no-fuse] [--stats] [--progress]".into())
             })?;
-            let mut dpor = false;
             let mut no_fuse = false;
             let mut stats = false;
             let mut progress = false;
             for flag in it.by_ref() {
                 match flag {
-                    "--dpor" => dpor = true,
                     "--no-fuse" => no_fuse = true,
                     "--stats" => stats = true,
                     "--progress" => progress = true,
@@ -410,7 +401,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             }
             Ok(Command::Explore {
                 id: id.to_owned(),
-                dpor,
                 no_fuse,
                 stats,
                 progress,
@@ -652,17 +642,13 @@ USAGE:
   lfm kernel <id> --source          print the kernel as paper-figure pseudo-code
   lfm kernel <id> --witness         show the failure witness as a timeline
   lfm kernel <id> --stats           also print exploration metrics
-  lfm explore <id> [--dpor] [--no-fuse] [--stats] [--progress]
+  lfm explore <id> [--no-fuse] [--stats] [--progress]
                                     model-check the buggy variant with state
-                                    deduplication; --dpor prunes
-                                    interleavings that only reorder
-                                    independent steps (source-set dynamic
-                                    partial-order reduction); --no-fuse
-                                    disables invisible-step fusion (on by
-                                    default: ops that touch nothing shared
-                                    run inside their parent edge instead of
-                                    branching); --stats adds
-                                    exploration counters and
+                                    deduplication; --no-fuse disables
+                                    invisible-step fusion (on by default:
+                                    ops that touch nothing shared run inside
+                                    their parent edge instead of branching);
+                                    --stats adds exploration counters and
                                     phase-attributed wall time; --progress
                                     streams periodic tree-size estimates
                                     (fraction explored, trend, ETA) to
@@ -983,7 +969,6 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
         }
         Command::Explore {
             id,
-            dpor,
             no_fuse,
             stats,
             progress,
@@ -995,7 +980,7 @@ pub fn run_opts(command: Command, sink: Arc<dyn Sink>, opts: &RunOptions) -> Run
                     deadline_tripped: false,
                 };
             };
-            return run_explore(&kernel, &id, dpor, no_fuse, stats, progress, opts, &sink);
+            return run_explore(&kernel, &id, no_fuse, stats, progress, opts, &sink);
         }
         Command::Witness { id, out, chrome } => {
             let Some(kernel) = registry::by_id(&id) else {
@@ -1149,11 +1134,9 @@ fn version_text() -> String {
 /// exposition.
 /// Observation never changes the report: profiling is write-only and
 /// sampling-gated, and the estimator runs unconditionally.
-#[allow(clippy::too_many_arguments)]
 fn run_explore(
     kernel: &Kernel,
     id: &str,
-    dpor: bool,
     no_fuse: bool,
     stats: bool,
     progress: bool,
@@ -1180,9 +1163,6 @@ fn run_explore(
         .dedup_states()
         .with_sink(run_sink)
         .profile(Arc::clone(&profiler));
-    if dpor {
-        explorer = explorer.dpor();
-    }
     if no_fuse {
         explorer = explorer.no_fuse();
     }
@@ -1201,13 +1181,6 @@ fn run_explore(
     let mut out = format!("{kernel}\n  {}\n\n", kernel.description);
     if let Some(seed) = opts.chaos {
         out.push_str(&format!("chaos seed: {seed}\n"));
-    }
-    if dpor {
-        out.push_str(if opts.chaos.is_some() {
-            "dpor: requested, disabled by --chaos (fault injection breaks trace equivalence)\n"
-        } else {
-            "dpor: on (source-set partial-order reduction)\n"
-        });
     }
     if no_fuse {
         out.push_str("fuse: off (every multi-enabled state branches)\n");
@@ -1247,7 +1220,6 @@ fn run_explore(
             .row("states/sec", format!("{:.1}", report.states_per_sec()))
             .row("dedup hits", report.states_deduped)
             .row("sleep-set prunes", report.sleep_pruned)
-            .row("dpor prunes", report.dpor_pruned)
             .row("branch points", report.stats.branch_points)
             .row("fused steps", report.stats.fused_steps)
             .row("snapshots elided", report.stats.snapshots_elided);
@@ -1310,12 +1282,6 @@ fn explore_metrics(
         "Schedules pruned by sleep sets.",
         kernel_label,
         report.sleep_pruned,
-    );
-    r.counter_with(
-        "lfm_explore_dpor_pruned",
-        "Schedules proved redundant by source-set DPOR.",
-        kernel_label,
-        report.dpor_pruned,
     );
     r.counter_with(
         "lfm_explore_branch_points",
@@ -1979,7 +1945,6 @@ fn run_bench_serve(args: &BenchServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink
     if let Some(handle) = handle {
         let stats = handle.stats();
         let cache = handle.cache();
-        let server_degrade = stats.degrade_histogram();
         handle.request_shutdown();
         let summary = handle.wait();
         clean_drain = summary.clean;
@@ -1995,7 +1960,6 @@ fn run_bench_serve(args: &BenchServeArgs, opts: &RunOptions, sink: &Arc<dyn Sink
             summary.worker_panics,
             summary.clean,
         ));
-        let _ = server_degrade;
         if let Some(path) = &opts.metrics {
             let mut registry = Registry::new();
             stats.fill_registry(&mut registry, &cache);
@@ -2145,7 +2109,6 @@ mod tests {
             parse(&args(&["explore", "abba"])).unwrap(),
             Command::Explore {
                 id: "abba".into(),
-                dpor: false,
                 no_fuse: false,
                 stats: false,
                 progress: false
@@ -2155,7 +2118,6 @@ mod tests {
             parse(&args(&["explore", "abba", "--stats"])).unwrap(),
             Command::Explore {
                 id: "abba".into(),
-                dpor: false,
                 no_fuse: false,
                 stats: true,
                 progress: false
@@ -2165,27 +2127,19 @@ mod tests {
             parse(&args(&["explore", "abba", "--progress"])).unwrap(),
             Command::Explore {
                 id: "abba".into(),
-                dpor: false,
                 no_fuse: false,
                 stats: false,
                 progress: true
             }
         );
         assert_eq!(
-            parse(&args(&["explore", "abba", "--dpor"])).unwrap(),
-            Command::Explore {
-                id: "abba".into(),
-                dpor: true,
-                no_fuse: false,
-                stats: false,
-                progress: false
-            }
+            parse(&args(&["explore", "abba", "--dpor"])),
+            Err(UsageError("unknown flag `--dpor`".into()))
         );
         assert_eq!(
             parse(&args(&["explore", "abba", "--no-fuse"])).unwrap(),
             Command::Explore {
                 id: "abba".into(),
-                dpor: false,
                 no_fuse: true,
                 stats: false,
                 progress: false
@@ -2358,7 +2312,6 @@ mod tests {
     fn run_explore_matches_serial_kernel_numbers() {
         let out = run(Command::Explore {
             id: "counter_rmw".into(),
-            dpor: false,
             no_fuse: false,
             stats: false,
             progress: false,
@@ -2374,37 +2327,12 @@ mod tests {
     }
 
     #[test]
-    fn run_explore_dpor_reports_the_reduction() {
-        let out = run(Command::Explore {
-            id: "counter_rmw".into(),
-            dpor: true,
-            no_fuse: false,
-            stats: true,
-            progress: false,
-        });
-        assert!(out.contains("dpor: on"), "{out}");
-        assert!(out.contains("dpor prunes"), "{out}");
-        // The counts are the serial DPOR explorer's.
-        let program = registry::by_id("counter_rmw").unwrap().buggy();
-        let serial = Explorer::new(&program).dpor().run();
-        assert!(
-            out.contains(&format!(
-                "buggy: {} interleavings, {} manifest",
-                serial.schedules_run,
-                serial.counts.failures()
-            )),
-            "{out}"
-        );
-    }
-
-    #[test]
     fn run_explore_no_fuse_matches_fused_verdicts_and_prints_counters() {
         // livelock_retry is full of yields: fused and unfused runs must
         // agree on the verdict while the fused one runs fewer
         // schedules, and --stats surfaces all three fusion counters.
         let fused = run(Command::Explore {
             id: "livelock_retry".into(),
-            dpor: false,
             no_fuse: false,
             stats: true,
             progress: false,
@@ -2414,7 +2342,6 @@ mod tests {
         assert!(fused.contains("snapshots elided"), "{fused}");
         let unfused = run(Command::Explore {
             id: "livelock_retry".into(),
-            dpor: false,
             no_fuse: true,
             stats: true,
             progress: false,
@@ -2439,7 +2366,6 @@ mod tests {
     fn run_explore_stats_lists_counters_and_phases() {
         let out = run(Command::Explore {
             id: "counter_rmw".into(),
-            dpor: false,
             no_fuse: false,
             stats: true,
             progress: false,
@@ -2464,7 +2390,6 @@ mod tests {
         let out = run_opts(
             Command::Explore {
                 id: "counter_rmw".into(),
-                dpor: false,
                 no_fuse: false,
                 stats: false,
                 progress: false,
@@ -2499,7 +2424,6 @@ mod tests {
         // text is identical (progress lines go to stderr).
         let base = run(Command::Explore {
             id: "counter_rmw".into(),
-            dpor: false,
             no_fuse: false,
             stats: false,
             progress: false,
@@ -2512,7 +2436,6 @@ mod tests {
         let observed = run_opts(
             Command::Explore {
                 id: "counter_rmw".into(),
-                dpor: false,
                 no_fuse: false,
                 stats: false,
                 progress: true,
@@ -2536,7 +2459,6 @@ mod tests {
     fn run_explore_unknown_kernel_reports_error() {
         let out = run(Command::Explore {
             id: "nope".into(),
-            dpor: false,
             no_fuse: false,
             stats: false,
             progress: false,

@@ -24,10 +24,8 @@
 //! asserts that the strong comparison actually covered most variants,
 //! so cap creep cannot quietly hollow the test out.
 
-use std::collections::BTreeSet;
-
 use lfm_kernels::{registry, Variant};
-use lfm_sim::{ExploreLimits, ExploreReport, Explorer, FaultPlan, Outcome, ParExplorer, Program};
+use lfm_sim::{ExploreLimits, Explorer, FaultPlan, ParExplorer, Program};
 
 /// Worker counts for the parallel bit-identity contract.
 const JOBS: [usize; 2] = [2, 4];
@@ -58,76 +56,16 @@ fn variants(kernel: &lfm_kernels::Kernel) -> Vec<(String, Program)> {
     out
 }
 
-/// Terminal fingerprints of one serial run: the outcome's display form
-/// (kind plus participants) and, for executions that run to their
-/// natural end, the final state key. Ok and deadlock states are
-/// invariants of the Mazurkiewicz class (every equivalent interleaving
-/// ends in the same state), so DPOR owes us each one. Aborting outcomes
-/// (assert failure, misuse, retry-limit) cut the execution mid-class —
-/// the machine state at the cut depends on how far *independent* ops in
-/// other threads happened to get, which is exactly the order DPOR
-/// prunes — so for those only the outcome itself is owed.
-type OutcomeSet = BTreeSet<(String, u64)>;
-
-fn outcome_set(program: &Program, limits: ExploreLimits) -> (ExploreReport, OutcomeSet) {
-    let mut set = OutcomeSet::new();
-    let report = Explorer::new(program)
-        .limits(limits)
-        .run_with_callback(|exec, outcome| {
-            let keyed = matches!(outcome, Outcome::Ok | Outcome::Deadlock { .. });
-            set.insert((
-                outcome.to_string(),
-                if keyed { exec.state_key() } else { 0 },
-            ));
-        });
-    (report, set)
-}
-
-/// Field-for-field report equality, wall time excluded (a clock writes
-/// that field, not the search).
-fn assert_identical(label: &str, a: &ExploreReport, b: &ExploreReport) {
-    assert_eq!(a.counts, b.counts, "{label}: counts");
-    assert_eq!(a.schedules_run, b.schedules_run, "{label}: schedules_run");
-    assert_eq!(a.steps_total, b.steps_total, "{label}: steps_total");
-    assert_eq!(a.truncated, b.truncated, "{label}: truncated");
-    assert_eq!(a.first_failure, b.first_failure, "{label}: first_failure");
-    assert_eq!(a.first_ok, b.first_ok, "{label}: first_ok");
-    assert_eq!(
-        a.states_deduped, b.states_deduped,
-        "{label}: states_deduped"
-    );
-    assert_eq!(a.sleep_pruned, b.sleep_pruned, "{label}: sleep_pruned");
-    assert_eq!(a.dpor_pruned, b.dpor_pruned, "{label}: dpor_pruned");
-    assert_eq!(a.truncation, b.truncation, "{label}: truncation");
-    assert_eq!(
-        a.stats.branch_points, b.stats.branch_points,
-        "{label}: branch_points"
-    );
-    assert_eq!(a.stats.max_depth, b.stats.max_depth, "{label}: max_depth");
-    assert_eq!(
-        a.est_total_schedules.to_bits(),
-        b.est_total_schedules.to_bits(),
-        "{label}: est_total_schedules ({} vs {})",
-        a.est_total_schedules,
-        b.est_total_schedules
-    );
-}
-
-/// `true` when a serial run exhausted its space: nothing truncated and
-/// no execution hit the step cap (a step-capped path is a prefix, and
-/// prefixes are not closed under trace equivalence).
-fn complete(report: &ExploreReport) -> bool {
-    !report.truncated && report.counts.step_limit == 0
-}
-
 /// Compares DPOR's outcome set against full enumeration's for one
 /// variant. Returns `true` when the strong comparison ran.
 fn check_outcome_sets(label: &str, program: &Program, dpor_limits: ExploreLimits) -> bool {
-    let (full, full_set) = outcome_set(program, limits(false, false));
-    let (reduced, reduced_set) = outcome_set(program, dpor_limits);
-    if !complete(&full) || !complete(&reduced) {
+    let (full, full_set) = Explorer::new(program)
+        .limits(limits(false, false))
+        .run_outcome_set();
+    let (reduced, reduced_set) = Explorer::new(program).limits(dpor_limits).run_outcome_set();
+    let (Some(full_set), Some(reduced_set)) = (full_set, reduced_set) else {
         return false;
-    }
+    };
     assert_eq!(
         full_set, reduced_set,
         "{label}: DPOR outcome set diverged from full enumeration"
@@ -188,10 +126,11 @@ fn parallel_dpor_matches_serial_dpor_field_for_field() {
                         .limits(limits(true, sleep))
                         .jobs(jobs)
                         .run();
-                    assert_identical(
-                        &format!("{}/{variant} [{config}, jobs={jobs}]", kernel.id),
-                        &baseline,
-                        &merged,
+                    assert_eq!(
+                        baseline.without_wall(),
+                        merged.without_wall(),
+                        "{}/{variant} [{config}, jobs={jobs}]",
+                        kernel.id
                     );
                 }
             }
@@ -225,7 +164,7 @@ fn chaos_silently_disables_dpor_everywhere() {
                 .chaos(FaultPlan::new(CHAOS_SEED))
                 .run();
             let label = format!("{}/{variant} [chaos seed {CHAOS_SEED}]", kernel.id);
-            assert_identical(&label, &plain, &requested);
+            assert_eq!(plain.without_wall(), requested.without_wall(), "{label}");
             assert_eq!(requested.dpor_pruned, 0, "{label}: claimed DPOR prunes");
         }
     }

@@ -30,10 +30,8 @@
 //! and that fusion actually fired somewhere, so cap creep cannot
 //! quietly hollow the test out.
 
-use std::collections::BTreeSet;
-
 use lfm_kernels::{registry, Variant};
-use lfm_sim::{ExploreLimits, ExploreReport, Explorer, FaultPlan, Outcome, ParExplorer, Program};
+use lfm_sim::{ExploreLimits, Explorer, FaultPlan, ParExplorer, Program};
 
 /// Worker counts for the parallel bit-identity contract.
 const JOBS: [usize; 2] = [2, 4];
@@ -89,82 +87,19 @@ fn variants(kernel: &lfm_kernels::Kernel) -> Vec<(String, Program)> {
     out
 }
 
-/// Terminal fingerprints of one serial run: the outcome's display form
-/// and, for executions that run to their natural end, the final state
-/// key. Ok and deadlock states are invariants of the Mazurkiewicz
-/// class, so fusion owes us each one; aborting outcomes cut the
-/// execution mid-class, so for those only the outcome itself is owed —
-/// the same contract `dpor_equivalence.rs` uses.
-type OutcomeSet = BTreeSet<(String, u64)>;
-
-fn outcome_set(program: &Program, limits: ExploreLimits) -> (ExploreReport, OutcomeSet) {
-    let mut set = OutcomeSet::new();
-    let report = Explorer::new(program)
-        .limits(limits)
-        .run_with_callback(|exec, outcome| {
-            let keyed = matches!(outcome, Outcome::Ok | Outcome::Deadlock { .. });
-            set.insert((
-                outcome.to_string(),
-                if keyed { exec.state_key() } else { 0 },
-            ));
-        });
-    (report, set)
-}
-
-/// Field-for-field report equality, wall time excluded (a clock writes
-/// that field, not the search). Extends `dpor_equivalence.rs`'s check
-/// with the fusion counters.
-fn assert_identical(label: &str, a: &ExploreReport, b: &ExploreReport) {
-    assert_eq!(a.counts, b.counts, "{label}: counts");
-    assert_eq!(a.schedules_run, b.schedules_run, "{label}: schedules_run");
-    assert_eq!(a.steps_total, b.steps_total, "{label}: steps_total");
-    assert_eq!(a.truncated, b.truncated, "{label}: truncated");
-    assert_eq!(a.first_failure, b.first_failure, "{label}: first_failure");
-    assert_eq!(a.first_ok, b.first_ok, "{label}: first_ok");
-    assert_eq!(
-        a.states_deduped, b.states_deduped,
-        "{label}: states_deduped"
-    );
-    assert_eq!(a.sleep_pruned, b.sleep_pruned, "{label}: sleep_pruned");
-    assert_eq!(a.dpor_pruned, b.dpor_pruned, "{label}: dpor_pruned");
-    assert_eq!(a.truncation, b.truncation, "{label}: truncation");
-    assert_eq!(
-        a.stats.branch_points, b.stats.branch_points,
-        "{label}: branch_points"
-    );
-    assert_eq!(
-        a.stats.fused_steps, b.stats.fused_steps,
-        "{label}: fused_steps"
-    );
-    assert_eq!(
-        a.stats.snapshots_elided, b.stats.snapshots_elided,
-        "{label}: snapshots_elided"
-    );
-    assert_eq!(a.stats.max_depth, b.stats.max_depth, "{label}: max_depth");
-    assert_eq!(
-        a.est_total_schedules.to_bits(),
-        b.est_total_schedules.to_bits(),
-        "{label}: est_total_schedules ({} vs {})",
-        a.est_total_schedules,
-        b.est_total_schedules
-    );
-}
-
-/// `true` when a serial run exhausted its space: nothing truncated and
-/// no execution hit the step cap.
-fn complete(report: &ExploreReport) -> bool {
-    !report.truncated && report.counts.step_limit == 0
-}
-
 /// Compares the fused outcome set against the unfused one for one
 /// variant under one mode. Returns the fused run's `fused_steps` when
 /// the strong comparison ran, `None` when a budget cap skipped it.
 fn check_outcome_sets(label: &str, program: &Program, mode: Mode) -> Option<u64> {
-    let (base, base_set) = outcome_set(program, limits(mode, false));
-    let (fused, fused_set) = outcome_set(program, limits(mode, true));
-    if !complete(&base) || !complete(&fused) {
+    let (base, base_set) = Explorer::new(program)
+        .limits(limits(mode, false))
+        .run_outcome_set();
+    let (fused, fused_set) = Explorer::new(program)
+        .limits(limits(mode, true))
+        .run_outcome_set();
+    let (Some(base_set), Some(fused_set)) = (base_set, fused_set) else {
         return None;
-    }
+    };
     assert_eq!(
         base_set, fused_set,
         "{label}: fused outcome set diverged from unfused"
@@ -223,10 +158,12 @@ fn parallel_fused_search_matches_serial_field_for_field() {
                         .limits(limits(mode, true))
                         .jobs(jobs)
                         .run();
-                    assert_identical(
-                        &format!("{}/{variant} [{}, jobs={jobs}]", kernel.id, mode.name()),
-                        &baseline,
-                        &merged,
+                    assert_eq!(
+                        baseline.without_wall(),
+                        merged.without_wall(),
+                        "{}/{variant} [{}, jobs={jobs}]",
+                        kernel.id,
+                        mode.name()
                     );
                 }
             }
@@ -261,7 +198,7 @@ fn chaos_silently_disables_fusion_everywhere() {
                 .chaos(FaultPlan::new(CHAOS_SEED))
                 .run();
             let label = format!("{}/{variant} [chaos seed {CHAOS_SEED}]", kernel.id);
-            assert_identical(&label, &plain, &requested);
+            assert_eq!(plain.without_wall(), requested.without_wall(), "{label}");
             assert_eq!(
                 requested.stats.fused_steps, 0,
                 "{label}: claimed fused steps under chaos"

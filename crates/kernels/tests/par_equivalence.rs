@@ -55,57 +55,15 @@ fn parallel(
     explorer.run()
 }
 
-/// Field-for-field equality, wall time excluded.
-fn assert_identical(label: &str, a: &ExploreReport, b: &ExploreReport) {
-    assert_eq!(a.counts, b.counts, "{label}: counts");
-    assert_eq!(a.schedules_run, b.schedules_run, "{label}: schedules_run");
-    assert_eq!(a.steps_total, b.steps_total, "{label}: steps_total");
-    assert_eq!(a.truncated, b.truncated, "{label}: truncated");
-    assert_eq!(a.first_failure, b.first_failure, "{label}: first_failure");
-    assert_eq!(a.first_ok, b.first_ok, "{label}: first_ok");
-    assert_eq!(
-        a.states_deduped, b.states_deduped,
-        "{label}: states_deduped"
-    );
-    assert_eq!(a.sleep_pruned, b.sleep_pruned, "{label}: sleep_pruned");
-    assert_eq!(a.dpor_pruned, b.dpor_pruned, "{label}: dpor_pruned");
-    assert_eq!(a.truncation, b.truncation, "{label}: truncation");
-    assert_eq!(
-        a.stats.branch_points, b.stats.branch_points,
-        "{label}: branch_points"
-    );
-    assert_eq!(a.stats.snapshots, b.stats.snapshots, "{label}: snapshots");
-    assert_eq!(a.stats.max_depth, b.stats.max_depth, "{label}: max_depth");
-    assert_eq!(
-        a.stats.preemption_limited, b.stats.preemption_limited,
-        "{label}: preemption_limited"
-    );
-    assert_eq!(
-        a.stats.fused_steps, b.stats.fused_steps,
-        "{label}: fused_steps"
-    );
-    assert_eq!(
-        a.stats.snapshots_elided, b.stats.snapshots_elided,
-        "{label}: snapshots_elided"
-    );
-    assert_eq!(
-        a.est_total_schedules.to_bits(),
-        b.est_total_schedules.to_bits(),
-        "{label}: est_total_schedules ({} vs {})",
-        a.est_total_schedules,
-        b.est_total_schedules
-    );
-}
-
 /// One variant against one configuration at every worker count.
 fn check(id: &str, variant: &str, program: &Program, config: &str, limits: ExploreLimits) {
     let baseline = serial(program, limits.clone(), None);
     for jobs in JOBS {
         let merged = parallel(program, limits.clone(), None, jobs);
-        assert_identical(
-            &format!("{id}/{variant} [{config}, jobs={jobs}]"),
-            &baseline,
-            &merged,
+        assert_eq!(
+            baseline.without_wall(),
+            merged.without_wall(),
+            "{id}/{variant} [{config}, jobs={jobs}]"
         );
     }
 }
@@ -159,13 +117,11 @@ fn every_variant_matches_serial_under_chaos() {
             let baseline = serial(&program, limits(true, false), Some(CHAOS_SEED));
             for jobs in JOBS {
                 let merged = parallel(&program, limits(true, false), Some(CHAOS_SEED), jobs);
-                assert_identical(
-                    &format!(
-                        "{}/{variant} [chaos seed {CHAOS_SEED}, jobs={jobs}]",
-                        kernel.id
-                    ),
-                    &baseline,
-                    &merged,
+                assert_eq!(
+                    baseline.without_wall(),
+                    merged.without_wall(),
+                    "{}/{variant} [chaos seed {CHAOS_SEED}, jobs={jobs}]",
+                    kernel.id
                 );
             }
         }
@@ -207,7 +163,7 @@ fn every_schedule_budget_matches_serial_on_a_split_tree() {
             for jobs in [2, 4] {
                 let merged = parallel(&program, limits.clone(), None, jobs);
                 let label = format!("{id} [budget {max_schedules}, jobs={jobs}]");
-                assert_identical(&label, &baseline, &merged);
+                assert_eq!(baseline.without_wall(), merged.without_wall(), "{label}");
             }
         }
         let first = ExploreLimits {
@@ -219,7 +175,7 @@ fn every_schedule_budget_matches_serial_on_a_split_tree() {
         for jobs in [2, 4] {
             let merged = parallel(&program, first.clone(), None, jobs);
             let label = format!("{id} [stop at first failure, jobs={jobs}]");
-            assert_identical(&label, &baseline, &merged);
+            assert_eq!(baseline.without_wall(), merged.without_wall(), "{label}");
         }
     }
 }
@@ -236,9 +192,9 @@ fn full_enumeration_uses_the_worker_pool() {
     assert!(stats.tasks_spawned >= 16, "{stats:?}");
     assert_eq!(stats.jobs, 2);
     assert_eq!(stats.wasted_expansions, 0);
-    assert_identical(
-        "livelock_retry/buggy [full, jobs=2]",
-        &Explorer::new(&program).run(),
-        &report,
+    assert_eq!(
+        Explorer::new(&program).run().without_wall(),
+        report.without_wall(),
+        "livelock_retry/buggy [full, jobs=2]"
     );
 }

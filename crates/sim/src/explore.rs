@@ -16,6 +16,7 @@
 //! [`crate::ParExplorer`] cuts the tree into subtrees, searches them on
 //! worker threads and splices their results back in serial order.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -240,8 +241,9 @@ pub struct ExploreStats {
     pub wall: Duration,
 }
 
-/// Result of [`Explorer::run`].
-#[derive(Debug, Clone)]
+/// Result of [`Explorer::run`]. Compare [`ExploreReport::without_wall`]
+/// views to ask whether two runs reached the same search result.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// Outcome histogram.
     pub counts: OutcomeCounts,
@@ -302,6 +304,15 @@ impl ExploreReport {
     /// program is correct within the explored bounds.
     pub fn proved_ok(&self) -> bool {
         !self.truncated && self.counts.failures() == 0 && self.counts.step_limit == 0
+    }
+
+    /// The report with `stats.wall` zeroed: everything the search
+    /// decides and nothing a clock measures. Serial and parallel runs,
+    /// and runs with observation on or off, must agree on this view.
+    pub fn without_wall(&self) -> ExploreReport {
+        let mut report = self.clone();
+        report.stats.wall = Duration::ZERO;
+        report
     }
 }
 
@@ -1139,6 +1150,15 @@ impl Reduction for SourceDpor {
     }
 }
 
+/// The terminal outcomes one search reached ([`Explorer::run_outcome_set`]).
+/// An `Ok` or `Deadlock` execution is keyed by its outcome and final
+/// [`Executor::state_key`]: every interleaving of a trace class ends in
+/// the same state, so a sound reduction owes each one. An aborting
+/// outcome is keyed by its display form alone (key 0): the state at the
+/// cut depends on how far independent ops in other threads got, which
+/// is exactly the order a reduction prunes.
+pub type OutcomeSet = BTreeSet<(String, u64)>;
+
 /// Depth-first interleaving explorer over a [`Program`].
 #[derive(Debug)]
 pub struct Explorer<'p> {
@@ -1220,6 +1240,23 @@ impl<'p> Explorer<'p> {
         let mut tally = Tally::start(&self.setup, mode, &[]);
         search(&mut tally, mode, self.record, &mut on_terminal);
         tally.finish(&[])
+    }
+
+    /// Runs the exploration and collects its [`OutcomeSet`]. The set is
+    /// `None` unless the search was complete (not truncated, and no
+    /// execution cut by the step budget): a partial search is not
+    /// closed under trace equivalence, so it owes no outcome set.
+    pub fn run_outcome_set(&self) -> (ExploreReport, Option<OutcomeSet>) {
+        let mut set = OutcomeSet::new();
+        let report = self.run_with_callback(|exec, outcome| {
+            let keyed = matches!(outcome, Outcome::Ok | Outcome::Deadlock { .. });
+            set.insert((
+                outcome.to_string(),
+                if keyed { exec.state_key() } else { 0 },
+            ));
+        });
+        let complete = !report.truncated && report.counts.step_limit == 0;
+        (report, complete.then_some(set))
     }
 }
 

@@ -494,68 +494,6 @@ mod tests {
         b.build().expect("valid program")
     }
 
-    /// Field-for-field equality, ignoring only the nondeterministic
-    /// wall time — the same comparison the differential harness in
-    /// `crates/kernels/tests/par_equivalence.rs` performs.
-    fn assert_reports_identical(serial: &ExploreReport, par: &ExploreReport, label: &str) {
-        assert_eq!(serial.counts, par.counts, "{label}: counts");
-        assert_eq!(
-            serial.schedules_run, par.schedules_run,
-            "{label}: schedules_run"
-        );
-        assert_eq!(serial.steps_total, par.steps_total, "{label}: steps_total");
-        assert_eq!(serial.truncated, par.truncated, "{label}: truncated");
-        assert_eq!(
-            serial.first_failure, par.first_failure,
-            "{label}: first_failure"
-        );
-        assert_eq!(serial.first_ok, par.first_ok, "{label}: first_ok");
-        assert_eq!(
-            serial.states_deduped, par.states_deduped,
-            "{label}: states_deduped"
-        );
-        assert_eq!(
-            serial.sleep_pruned, par.sleep_pruned,
-            "{label}: sleep_pruned"
-        );
-        assert_eq!(serial.dpor_pruned, par.dpor_pruned, "{label}: dpor_pruned");
-        assert_eq!(serial.truncation, par.truncation, "{label}: truncation");
-        assert_eq!(
-            serial.stats.branch_points, par.stats.branch_points,
-            "{label}: branch_points"
-        );
-        assert_eq!(
-            serial.stats.snapshots, par.stats.snapshots,
-            "{label}: snapshots"
-        );
-        assert_eq!(
-            serial.stats.max_depth, par.stats.max_depth,
-            "{label}: max_depth"
-        );
-        assert_eq!(
-            serial.stats.preemption_limited, par.stats.preemption_limited,
-            "{label}: preemption_limited"
-        );
-        assert_eq!(
-            serial.stats.fused_steps, par.stats.fused_steps,
-            "{label}: fused_steps"
-        );
-        assert_eq!(
-            serial.stats.snapshots_elided, par.stats.snapshots_elided,
-            "{label}: snapshots_elided"
-        );
-        // Bit-identical, not approximately equal: the parallel walk
-        // replays the serial leaf order, so the degree-product sums
-        // match exactly in IEEE-754.
-        assert_eq!(
-            serial.est_total_schedules.to_bits(),
-            par.est_total_schedules.to_bits(),
-            "{label}: est_total_schedules ({} vs {})",
-            serial.est_total_schedules,
-            par.est_total_schedules
-        );
-    }
-
     fn configs() -> Vec<(&'static str, ExploreLimits)> {
         let base = ExploreLimits::default();
         vec![
@@ -640,7 +578,7 @@ mod tests {
                         .jobs(jobs)
                         .run();
                     let label = format!("{}/{label}/jobs={jobs}", program.name());
-                    assert_reports_identical(&serial, &par, &label);
+                    assert_eq!(serial.without_wall(), par.without_wall(), "{label}");
                 }
             }
         }
@@ -656,7 +594,7 @@ mod tests {
             .profile(Arc::clone(&profiler))
             .progress_every(Duration::from_millis(0))
             .run_detailed();
-        assert_reports_identical(&baseline, &report, "obs-on");
+        assert_eq!(baseline.without_wall(), report.without_wall(), "obs-on");
         assert_eq!(stats.profiles.len(), 1, "one spawned worker");
         // The workers searched subtrees, so their profilers saw step
         // entries.
@@ -692,7 +630,11 @@ mod tests {
                     .limits(limits.clone())
                     .jobs(3)
                     .run();
-                assert_reports_identical(&serial, &par, &format!("seed={seed}/{label}"));
+                assert_eq!(
+                    serial.without_wall(),
+                    par.without_wall(),
+                    "seed={seed}/{label}"
+                );
             }
         }
     }
@@ -705,7 +647,11 @@ mod tests {
             let serial = Explorer::new(&program).chaos(plan).run();
             for jobs in [1, 2, 4] {
                 let par = ParExplorer::new(&program).chaos(plan).jobs(jobs).run();
-                assert_reports_identical(&serial, &par, &format!("chaos={seed}/jobs={jobs}"));
+                assert_eq!(
+                    serial.without_wall(),
+                    par.without_wall(),
+                    "chaos={seed}/jobs={jobs}"
+                );
             }
         }
     }
@@ -719,7 +665,11 @@ mod tests {
                 .stop_on_first_failure()
                 .jobs(jobs)
                 .run();
-            assert_reports_identical(&serial, &par, &format!("stop-first/jobs={jobs}"));
+            assert_eq!(
+                serial.without_wall(),
+                par.without_wall(),
+                "stop-first/jobs={jobs}"
+            );
         }
         assert!(serial.found_failure());
     }
@@ -733,7 +683,7 @@ mod tests {
         };
         let serial = Explorer::new(&program).limits(limits.clone()).run();
         let par = ParExplorer::new(&program).limits(limits).jobs(2).run();
-        assert_reports_identical(&serial, &par, "budget=0");
+        assert_eq!(serial.without_wall(), par.without_wall(), "budget=0");
         assert!(par.truncated);
         assert_eq!(par.schedules_run, 0);
         assert_eq!(par.truncation, Some(Truncation::ScheduleBudget));
@@ -774,7 +724,11 @@ mod tests {
             .deadline_clock(clock)
             .jobs(4)
             .run_detailed();
-        assert_reports_identical(&serial, &par, "per-schedule deadline");
+        assert_eq!(
+            serial.without_wall(),
+            par.without_wall(),
+            "per-schedule deadline"
+        );
         assert_eq!(par.schedules_run, 40);
         assert_eq!(par.truncation, Some(Truncation::WallDeadline));
         assert!(par.found_failure());
@@ -811,7 +765,7 @@ mod tests {
         let program = b.build().expect("valid");
         let serial = Explorer::new(&program).run();
         let (par, stats) = ParExplorer::new(&program).jobs(4).run_detailed();
-        assert_reports_identical(&serial, &par, "single-thread");
+        assert_eq!(serial.without_wall(), par.without_wall(), "single-thread");
         assert_eq!(par.schedules_run, 1);
         assert_eq!((stats.jobs, stats.tasks_spawned), (1, 0));
     }
@@ -897,7 +851,11 @@ mod tests {
                 .stop_on_first_failure()
                 .jobs(jobs)
                 .run();
-            assert_reports_identical(&serial, &par, &format!("dpor-stop-first/jobs={jobs}"));
+            assert_eq!(
+                serial.without_wall(),
+                par.without_wall(),
+                "dpor-stop-first/jobs={jobs}"
+            );
         }
         assert!(serial.found_failure());
     }

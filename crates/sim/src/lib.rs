@@ -103,7 +103,8 @@ pub use coverage::{PairCoverage, PairKey};
 pub use error::{BuildError, ExecError};
 pub use exec::{Executor, RecordMode, ReplayDeviation, StepResult};
 pub use explore::{
-    DeadlineClock, ExploreLimits, ExploreReport, ExploreStats, Explorer, OutcomeCounts, Truncation,
+    DeadlineClock, ExploreLimits, ExploreReport, ExploreStats, Explorer, OutcomeCounts, OutcomeSet,
+    Truncation,
 };
 pub use explore_par::{ParExplorer, ParStats};
 pub use expr::Expr;

@@ -43,18 +43,24 @@ impl RandomWalkReport {
     }
 }
 
+/// The one trial loop behind every sampler: runs `trials` executions
+/// from fresh executors recording per `record`, asking `pick` (given
+/// the trial index) which enabled thread to step, tallies each outcome
+/// and hands the finished executor to `keep`.
 fn run_trials(
     program: &Program,
     trials: u64,
     max_steps: usize,
     fault: Option<FaultPlan>,
+    record: RecordMode,
     mut pick: impl FnMut(u64, &Executor, &[ThreadId]) -> ThreadId,
+    mut keep: impl FnMut(Executor, Outcome),
 ) -> RandomWalkReport {
     let stopwatch = Stopwatch::start();
     let mut counts = OutcomeCounts::default();
     let mut first_failure = None;
     for trial in 0..trials {
-        let mut exec = Executor::new(program);
+        let mut exec = Executor::with_record(program, record);
         if let Some(plan) = fault {
             exec.set_fault_plan(plan);
         }
@@ -69,17 +75,11 @@ fn run_trials(
             let choice = pick(trial, &exec, &enabled);
             exec.step(choice).expect("picker chose an enabled thread");
         };
-        match &outcome {
-            Outcome::Ok => counts.ok += 1,
-            Outcome::AssertFailed { .. } => counts.assert_failed += 1,
-            Outcome::Deadlock { .. } => counts.deadlock += 1,
-            Outcome::StepLimit => counts.step_limit += 1,
-            Outcome::TxRetryLimit { .. } => counts.tx_retry_limit += 1,
-            Outcome::Misuse { .. } => counts.misuse += 1,
-        }
+        counts.add(&outcome);
         if outcome.is_failure() && first_failure.is_none() {
-            first_failure = Some((exec.schedule_taken().clone(), outcome));
+            first_failure = Some((exec.schedule_taken().clone(), outcome.clone()));
         }
+        keep(exec, outcome);
     }
     RandomWalkReport {
         counts,
@@ -157,7 +157,9 @@ impl<'p> RandomWalker<'p> {
             trials,
             self.max_steps,
             self.fault,
+            RecordMode::Off,
             move |_, _, enabled| enabled[rng.gen_range(0..enabled.len())],
+            |_, _| {},
         );
         emit_batch(self.sink.as_ref(), "report", self.program, &report);
         report
@@ -168,24 +170,15 @@ impl<'p> RandomWalker<'p> {
     pub fn collect_traces(&self, trials: u64) -> Vec<(Trace, Outcome)> {
         let mut rng = SplitMix64::new(self.seed);
         let mut out = Vec::with_capacity(trials as usize);
-        for _ in 0..trials {
-            let mut exec = Executor::with_record(self.program, RecordMode::Full);
-            if let Some(plan) = self.fault {
-                exec.set_fault_plan(plan);
-            }
-            let outcome = loop {
-                if let Some(o) = exec.outcome().cloned() {
-                    break o;
-                }
-                if exec.steps() >= self.max_steps {
-                    break Outcome::StepLimit;
-                }
-                let enabled = exec.enabled();
-                let choice = enabled[rng.gen_range(0..enabled.len())];
-                exec.step(choice).expect("chosen thread is enabled");
-            };
-            out.push((exec.into_trace(), outcome));
-        }
+        run_trials(
+            self.program,
+            trials,
+            self.max_steps,
+            self.fault,
+            RecordMode::Full,
+            move |_, _, enabled| enabled[rng.gen_range(0..enabled.len())],
+            |exec, outcome| out.push((exec.into_trace(), outcome)),
+        );
         out
     }
 }
@@ -236,66 +229,50 @@ impl<'p> PctScheduler<'p> {
         // `max_steps` would make change points almost never fire on short
         // kernels.
         let k_steps = self.program.static_visible_ops().max(2);
-        let stopwatch = Stopwatch::start();
+        let depth = self.depth;
         let mut rng = SplitMix64::new(self.seed);
-        let mut counts = OutcomeCounts::default();
-        let mut first_failure = None;
-        for _ in 0..trials {
-            // Random initial priorities: a random permutation, higher is
-            // more urgent. Change points drop the running thread to the
-            // lowest band.
-            let mut priorities: Vec<i64> = (0..n as i64).map(|i| i + (self.depth as i64)).collect();
-            for i in (1..n).rev() {
-                let j = rng.gen_range(0..=i);
-                priorities.swap(i, j);
-            }
-            let mut change_points: Vec<usize> = (0..self.depth.saturating_sub(1))
-                .map(|_| rng.gen_range(0..k_steps))
-                .collect();
-            change_points.sort_unstable();
-            let mut next_change = 0usize;
-            let mut low_band = 0i64;
-
-            let mut exec = Executor::new(self.program);
-            if let Some(plan) = self.fault {
-                exec.set_fault_plan(plan);
-            }
-            let outcome = loop {
-                if let Some(o) = exec.outcome().cloned() {
-                    break o;
+        let mut drawn_for = None;
+        let (mut priorities, mut change_points) = (Vec::new(), Vec::new());
+        let (mut next_change, mut low_band) = (0usize, 0i64);
+        let pick = move |trial, exec: &Executor, enabled: &[ThreadId]| {
+            if drawn_for != Some(trial) {
+                // A new trial: random initial priorities (a permutation,
+                // higher is more urgent) and change points that drop the
+                // running thread to the lowest band. Every trial starts
+                // in the same state, so either all trials pick or none
+                // does, and drawing at the first pick keeps the seed's
+                // draw order.
+                drawn_for = Some(trial);
+                priorities = (0..n as i64).map(|i| i + depth as i64).collect();
+                for i in (1..n).rev() {
+                    let j = rng.gen_range(0..=i);
+                    priorities.swap(i, j);
                 }
-                if exec.steps() >= self.max_steps {
-                    break Outcome::StepLimit;
-                }
-                let enabled = exec.enabled();
-                let choice = *enabled
-                    .iter()
-                    .max_by_key(|t| priorities[t.index()])
-                    .expect("enabled set non-empty");
-                if next_change < change_points.len() && exec.steps() >= change_points[next_change] {
-                    low_band -= 1;
-                    priorities[choice.index()] = low_band;
-                    next_change += 1;
-                }
-                exec.step(choice).expect("chosen thread is enabled");
-            };
-            match &outcome {
-                Outcome::Ok => counts.ok += 1,
-                Outcome::AssertFailed { .. } => counts.assert_failed += 1,
-                Outcome::Deadlock { .. } => counts.deadlock += 1,
-                Outcome::StepLimit => counts.step_limit += 1,
-                Outcome::TxRetryLimit { .. } => counts.tx_retry_limit += 1,
-                Outcome::Misuse { .. } => counts.misuse += 1,
+                change_points = (0..depth.saturating_sub(1))
+                    .map(|_| rng.gen_range(0..k_steps))
+                    .collect();
+                change_points.sort_unstable();
+                (next_change, low_band) = (0, 0);
             }
-            if outcome.is_failure() && first_failure.is_none() {
-                first_failure = Some((exec.schedule_taken().clone(), outcome));
+            let choice = *enabled
+                .iter()
+                .max_by_key(|t| priorities[t.index()])
+                .expect("enabled set non-empty");
+            if next_change < change_points.len() && exec.steps() >= change_points[next_change] {
+                low_band -= 1;
+                priorities[choice.index()] = low_band;
+                next_change += 1;
             }
-        }
-        RandomWalkReport {
-            counts,
+            choice
+        };
+        run_trials(
+            self.program,
             trials,
-            first_failure,
-            wall: stopwatch.elapsed(),
-        }
+            self.max_steps,
+            self.fault,
+            RecordMode::Off,
+            pick,
+            |_, _| {},
+        )
     }
 }

@@ -29,29 +29,6 @@ fn racy_counter(n_threads: usize) -> lfm_sim::Program {
     b.build().unwrap()
 }
 
-/// Everything in the report except wall-clock time.
-fn semantic_view(r: &ExploreReport) -> impl PartialEq + std::fmt::Debug {
-    (
-        r.schedules_run,
-        r.steps_total,
-        r.counts,
-        r.first_failure.clone(),
-        r.first_ok.clone(),
-        r.truncated,
-        r.truncation,
-        r.sleep_pruned,
-        r.states_deduped,
-        // f64 compared bit-for-bit: the estimator must not wobble.
-        r.est_total_schedules.to_bits(),
-        (
-            r.stats.branch_points,
-            r.stats.snapshots,
-            r.stats.max_depth,
-            r.stats.preemption_limited,
-        ),
-    )
-}
-
 fn explore(p: &lfm_sim::Program, sink: Arc<dyn Sink>) -> ExploreReport {
     Explorer::new(p)
         .limits(ExploreLimits {
@@ -76,8 +53,8 @@ fn sinks_do_not_perturb_exploration() {
     let memory_sink = Arc::new(MemorySink::new());
     let memory = explore(&p, memory_sink.clone());
 
-    assert_eq!(semantic_view(&baseline), semantic_view(&noop));
-    assert_eq!(semantic_view(&baseline), semantic_view(&memory));
+    assert_eq!(baseline.without_wall(), noop.without_wall());
+    assert_eq!(baseline.without_wall(), memory.without_wall());
     // The memory sink actually observed the run the no-op sink skipped.
     assert_eq!(memory_sink.events_named("explore", "start").len(), 1);
     assert_eq!(memory_sink.events_named("explore", "report").len(), 1);
@@ -94,7 +71,7 @@ fn jsonl_sink_does_not_perturb_exploration() {
     let sink = JsonlSink::create(&path).unwrap();
     let logged = Explorer::new(&p).with_sink(Arc::new(sink)).run();
 
-    assert_eq!(semantic_view(&baseline), semantic_view(&logged));
+    assert_eq!(baseline.without_wall(), logged.without_wall());
     let log = std::fs::read_to_string(&path).unwrap();
     assert!(log.lines().any(|l| l.contains("\"event\":\"report\"")));
     std::fs::remove_file(&path).ok();
@@ -105,7 +82,7 @@ fn repeated_instrumented_runs_are_bit_identical() {
     let p = racy_counter(3);
     let a = explore(&p, Arc::new(MemorySink::new()));
     let b = explore(&p, Arc::new(MemorySink::new()));
-    assert_eq!(semantic_view(&a), semantic_view(&b));
+    assert_eq!(a.without_wall(), b.without_wall());
 }
 
 /// Everything on at once — phase profiler sampling every entry, flight
@@ -136,7 +113,7 @@ fn full_observation_does_not_perturb_exploration() {
         .progress_every(Duration::from_nanos(1))
         .run();
 
-    assert_eq!(semantic_view(&baseline), semantic_view(&observed));
+    assert_eq!(baseline.without_wall(), observed.without_wall());
     // And the instruments genuinely ran: phases were timed, events
     // reached the ring, progress ticks were emitted.
     let profile = profiler.snapshot();

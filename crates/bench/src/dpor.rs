@@ -1,308 +1,189 @@
-//! E-dpor: source-set DPOR schedule reduction vs full enumeration.
+//! E-dpor: source-set DPOR against full enumeration, a view of the
+//! [reduction ledger](crate::ledger).
 //!
-//! The serial explorer's `dpor` mode replaces enumeration of every
-//! interleaving with one representative per Mazurkiewicz trace class
-//! plus the backtrack points the race scan proves necessary. This
-//! experiment runs both modes over every kernel's buggy variant (dedup
-//! and sleep sets off, so the comparison isolates DPOR itself) and
-//! records, per kernel: schedules run, whether each search completed
-//! within the budget, the reduction factor, and whether the two
-//! outcome *sets* agree.
-//!
-//! The outcome-set oracle mirrors the `dpor_equivalence` suite: `Ok`
-//! and `Deadlock` final states are invariants of a trace class, so
-//! their full `state_key` is owed; aborting outcomes cut execution
-//! mid-class — machine state at the cut varies with independent
-//! other-thread progress, which is exactly what DPOR prunes — so only
-//! their display form is compared. Sets are only compared when both
-//! searches ran to completion (a truncated search is not
-//! equivalence-closed).
-//!
-//! Unlike E-perf and E-par, everything here is **deterministic**:
-//! schedule counts are a property of the search, not the host, so the
-//! CI gate ([`DporReport::gate_failures`]) holds everywhere, including
-//! single-core runners where the throughput gates are skipped.
+//! The view compares each kernel's unfused full enumeration with its
+//! unfused DPOR search: schedule counts, the reduction factor and
+//! whether the outcome sets agree. Its gate holds DPOR to
+//! [`DPOR_FLOOR`] on the two deepest kernels, where partial-order
+//! reduction must earn its keep.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
 
-use lfm_kernels::registry;
-use lfm_sim::{ExploreLimits, ExploreReport, Explorer, Outcome, Program};
 use lfm_study::Table;
 
-/// Schedule budget for the committed `BENCH_explore.json` DPOR section
-/// and the CI gate. Large enough that DPOR finishes every kernel
-/// exhaustively; full enumeration is allowed to truncate (the
-/// reduction factor is then a lower bound).
-pub const DPOR_BUDGET: u64 = 100_000;
+use crate::ledger::{verdict, Gate, GateRow, Ledger, LedgerRow};
 
-/// Minimum schedule-reduction factor the two deepest kernels must
-/// show. The deepest state spaces are where partial-order reduction
+/// Minimum schedule-reduction factor DPOR must show on the two deepest
+/// kernels. The deepest state spaces are where partial-order reduction
 /// earns its keep; anything under 2x there means the race scan has
 /// effectively degraded to full enumeration.
 pub const DPOR_FLOOR: f64 = 2.0;
 
-/// One kernel's full-enumeration vs DPOR comparison.
-#[derive(Debug, Clone)]
-pub struct DporRow {
-    /// Kernel id.
-    pub kernel: &'static str,
-    /// The kernel's bug family.
-    pub family: String,
-    /// Deepest DFS stack observed by the DPOR search.
-    pub max_depth: u64,
-    /// Schedules full enumeration ran (at most the budget).
-    pub full_schedules: u64,
-    /// Whether full enumeration finished exhaustively (no truncation,
-    /// no step-capped leaf).
-    pub full_complete: bool,
-    /// Schedules the DPOR search ran.
-    pub dpor_schedules: u64,
-    /// Whether the DPOR search finished exhaustively.
-    pub dpor_complete: bool,
-    /// `full_schedules / dpor_schedules` — a lower bound on the true
-    /// reduction when full enumeration truncated.
-    pub reduction: f64,
-    /// Whether both searches completed, making the outcome sets
-    /// comparable.
-    pub compared: bool,
-    /// `true` when the outcome sets agree (vacuously `true` for rows
-    /// that were not compared).
-    pub outcomes_match: bool,
-}
-
-/// The full E-dpor measurement.
-#[derive(Debug, Clone)]
-pub struct DporReport {
-    /// Schedule budget both searches were capped at.
-    pub budget: u64,
-    /// Per-kernel rows, in registry order.
-    pub rows: Vec<DporRow>,
-}
-
-impl DporReport {
-    /// The row for `kernel`, if that kernel was measured.
-    pub fn row(&self, kernel: &str) -> Option<&DporRow> {
-        self.rows.iter().find(|r| r.kernel == kernel)
-    }
-
-    /// The two deepest kernels (ties broken by id), the rows the
-    /// reduction floor applies to.
-    pub fn deepest(&self) -> Vec<&DporRow> {
-        let mut rows: Vec<&DporRow> = self.rows.iter().collect();
-        rows.sort_by(|a, b| b.max_depth.cmp(&a.max_depth).then(a.kernel.cmp(b.kernel)));
+impl Ledger {
+    /// The two deepest kernels under unfused DPOR (ties broken by id),
+    /// the rows the DPOR floor applies to.
+    pub fn deepest(&self) -> Vec<&LedgerRow> {
+        let mut rows: Vec<&LedgerRow> = self.rows.iter().collect();
+        rows.sort_by_key(|r| (Reverse(r.dpor.max_depth), r.kernel));
         rows.truncate(2);
         rows
     }
 
-    /// The CI gate, as human-readable failures (empty means pass):
-    /// every compared row's outcome sets must agree, at least one row
-    /// must actually have been compared, and the two deepest kernels
-    /// must complete under DPOR with at least [`DPOR_FLOOR`] reduction.
-    pub fn gate_failures(&self) -> Vec<String> {
+    /// The DPOR gate: every compared row's outcome sets must agree, at
+    /// least one row must actually have been compared, and the two
+    /// deepest kernels must complete under DPOR with at least
+    /// [`DPOR_FLOOR`] reduction.
+    pub fn dpor_gate(&self) -> Gate {
         let mut failures = Vec::new();
         for r in &self.rows {
-            if !r.outcomes_match {
+            if !r.full.agrees(&r.dpor) {
                 failures.push(format!(
                     "{}: DPOR outcome set diverged from full enumeration",
                     r.kernel
                 ));
             }
         }
-        if !self.rows.iter().any(|r| r.compared) {
+        if !self.rows.iter().any(|r| r.full.comparable(&r.dpor)) {
             failures.push("no kernel completed both searches; outcome oracle never ran".into());
         }
+        let mut rows = Vec::new();
         for r in self.deepest() {
-            if !r.dpor_complete {
+            let reduction = r.full.ratio(&r.dpor);
+            if !r.dpor.exhaustive() {
                 failures.push(format!(
                     "{}: DPOR search truncated at budget {} — cannot bound the reduction",
                     r.kernel, self.budget
                 ));
-            } else if r.reduction < DPOR_FLOOR {
+            } else if reduction < DPOR_FLOOR {
                 failures.push(format!(
-                    "{}: reduction {:.2}x below the {DPOR_FLOOR:.1}x floor \
+                    "{}: reduction {reduction:.2}x below the {DPOR_FLOOR:.1}x floor \
                      ({} full vs {} dpor schedules)",
-                    r.kernel, r.reduction, r.full_schedules, r.dpor_schedules
+                    r.kernel, r.full.schedules, r.dpor.schedules
                 ));
             }
+            rows.push(GateRow {
+                kernel: r.kernel,
+                schedules: r.dpor.schedules,
+                counts: format!(
+                    "{} full vs {} dpor schedules",
+                    r.full.schedules, r.dpor.schedules
+                ),
+                reductions: format!("reduction {}", r.full.reduction(&r.dpor)),
+                compared: Some(r.full.comparable(&r.dpor)),
+            });
         }
-        failures
+        Gate {
+            name: "dpor",
+            rows,
+            failures,
+        }
     }
-}
 
-fn limits(dpor: bool, max_schedules: u64) -> ExploreLimits {
-    ExploreLimits {
-        max_schedules,
-        dedup_states: false,
-        sleep_sets: false,
-        dpor,
-        // Step fusion off on both sides: E-dpor isolates DPOR's own
-        // reduction against the seed's full-enumeration baseline, and
-        // E-fuse measures fusion separately. (Fusion would also let
-        // full enumeration *complete* `livelock_retry` inside the
-        // budget, firing the outcome oracle on a known pre-existing
-        // source-set DPOR gap there — see ROADMAP.)
-        fuse: false,
-        ..ExploreLimits::default()
-    }
-}
-
-type OutcomeSet = BTreeSet<(String, u64)>;
-
-fn explore(program: &Program, dpor: bool, budget: u64) -> (ExploreReport, OutcomeSet) {
-    let mut set = OutcomeSet::new();
-    let report = Explorer::new(program)
-        .limits(limits(dpor, budget))
-        .run_with_callback(|exec, outcome| {
-            let keyed = matches!(outcome, Outcome::Ok | Outcome::Deadlock { .. });
-            set.insert((
-                outcome.to_string(),
-                if keyed { exec.state_key() } else { 0 },
-            ));
-        });
-    (report, set)
-}
-
-fn complete(report: &ExploreReport) -> bool {
-    !report.truncated && report.counts.step_limit == 0
-}
-
-/// Runs the E-dpor measurement: full enumeration vs DPOR on every
-/// kernel's buggy variant at the given schedule budget.
-pub fn dpor_measure(budget: u64) -> DporReport {
-    let mut rows = Vec::new();
-    for kernel in registry::all() {
-        let program = kernel.buggy();
-        let (full, full_set) = explore(&program, false, budget);
-        let (reduced, reduced_set) = explore(&program, true, budget);
-        let full_complete = complete(&full);
-        let dpor_complete = complete(&reduced);
-        let compared = full_complete && dpor_complete;
-        rows.push(DporRow {
-            kernel: kernel.id,
-            family: kernel.family.to_string(),
-            max_depth: reduced.stats.max_depth,
-            full_schedules: full.schedules_run,
-            full_complete,
-            dpor_schedules: reduced.schedules_run,
-            dpor_complete,
-            reduction: full.schedules_run as f64 / reduced.schedules_run.max(1) as f64,
-            compared,
-            outcomes_match: !compared || full_set == reduced_set,
-        });
-    }
-    DporReport { budget, rows }
-}
-
-/// Renders the measurement as the E-dpor table.
-pub fn dpor_table(budget: u64) -> Table {
-    let report = dpor_measure(budget);
-    let deepest: Vec<&'static str> = report.deepest().iter().map(|r| r.kernel).collect();
-    let mut t = Table::new(
-        "E-dpor",
-        format!(
-            "Source-set DPOR vs full enumeration ({} kernels, budget {})",
-            report.rows.len(),
-            report.budget
-        ),
-        vec![
-            "kernel",
-            "family",
-            "depth",
-            "full",
-            "dpor",
-            "reduction",
-            "outcomes",
-        ],
-    );
-    for r in &report.rows {
-        let gated = deepest.contains(&r.kernel);
-        t.row(vec![
-            if gated {
-                format!("{} *", r.kernel)
-            } else {
-                r.kernel.to_string()
-            },
-            r.family.clone(),
-            r.max_depth.to_string(),
-            if r.full_complete {
-                r.full_schedules.to_string()
-            } else {
-                format!("{}+", r.full_schedules)
-            },
-            r.dpor_schedules.to_string(),
+    /// Renders the E-dpor view: unfused full enumeration vs unfused
+    /// DPOR.
+    pub fn dpor_table(&self) -> Table {
+        let deepest: Vec<&'static str> = self.deepest().iter().map(|r| r.kernel).collect();
+        let mut t = Table::new(
+            "E-dpor",
             format!(
-                "{}{:.2}x",
-                if r.full_complete { "" } else { ">=" },
-                r.reduction
+                "Source-set DPOR vs full enumeration ({} kernels, budget {})",
+                self.rows.len(),
+                self.budget
             ),
-            if !r.compared {
-                "(truncated)".to_string()
-            } else if r.outcomes_match {
-                "identical".to_string()
-            } else {
-                "DIVERGED".to_string()
-            },
-        ]);
+            vec![
+                "kernel",
+                "family",
+                "depth",
+                "full",
+                "dpor",
+                "reduction",
+                "outcomes",
+            ],
+        );
+        for r in &self.rows {
+            let gated = deepest.contains(&r.kernel);
+            t.row(vec![
+                format!("{}{}", r.kernel, if gated { " *" } else { "" }),
+                r.family.clone(),
+                r.dpor.max_depth.to_string(),
+                r.full.count(),
+                r.dpor.schedules.to_string(),
+                r.full.reduction(&r.dpor),
+                verdict(&[(&r.full, &r.dpor)]),
+            ]);
+        }
+        t.note(
+            "full enumeration and DPOR both run with dedup and sleep sets off; \
+             `N+` marks a search truncated at the budget, making the reduction a \
+             lower bound; `outcomes` compares {outcome kind, final state for \
+             ok/deadlock} sets and only when both searches completed",
+        );
+        t.note(format!(
+            "* CI gate rows (the two deepest kernels): DPOR must complete and \
+             reduce schedules by at least {DPOR_FLOOR:.1}x; schedule counts are \
+             deterministic, so unlike the throughput gates this holds on every \
+             host"
+        ));
+        t
     }
-    t.note(
-        "full enumeration and DPOR both run with dedup and sleep sets off; \
-         `N+` marks a search truncated at the budget, making the reduction a \
-         lower bound; `outcomes` compares {outcome kind, final state for \
-         ok/deadlock} sets and only when both searches completed",
-    );
-    t.note(format!(
-        "* CI gate rows (the two deepest kernels): DPOR must complete and \
-         reduce schedules by at least {DPOR_FLOOR:.1}x; schedule counts are \
-         deterministic, so unlike the throughput gates this holds on every \
-         host"
-    ));
-    t
 }
 
 #[cfg(test)]
 mod tests {
+    use lfm_kernels::registry;
+    use lfm_sim::OutcomeSet;
+
     use super::*;
+    use crate::ledger;
 
     #[test]
     fn gate_holds_at_the_reference_budget() {
-        let report = dpor_measure(DPOR_BUDGET);
-        assert_eq!(report.rows.len(), registry::all().len());
-        let failures = report.gate_failures();
-        assert!(failures.is_empty(), "{failures:?}");
-        let deepest = report.deepest();
+        let ledger = ledger::reference();
+        assert_eq!(ledger.rows.len(), registry::all().len());
+        let gate = ledger.dpor_gate();
+        assert!(gate.failures.is_empty(), "{:?}", gate.failures);
+        assert_eq!(gate.rows.len(), 2);
+        let deepest = ledger.deepest();
         assert_eq!(deepest.len(), 2);
         assert_ne!(deepest[0].kernel, deepest[1].kernel);
         for r in deepest {
-            assert!(r.dpor_complete, "{}: dpor truncated", r.kernel);
+            assert!(r.dpor.exhaustive(), "{}: dpor truncated", r.kernel);
+            let reduction = r.full.ratio(&r.dpor);
             assert!(
-                r.reduction >= DPOR_FLOOR,
-                "{}: reduction {:.2}",
-                r.kernel,
-                r.reduction
+                reduction >= DPOR_FLOOR,
+                "{}: reduction {reduction:.2}",
+                r.kernel
             );
         }
         // The oracle must actually fire on most kernels: only the very
         // deepest state spaces may outgrow full enumeration's budget.
-        let compared = report.rows.iter().filter(|r| r.compared).count();
-        assert!(compared * 2 > report.rows.len(), "only {compared} compared");
+        let compared = ledger
+            .rows
+            .iter()
+            .filter(|r| r.full.comparable(&r.dpor))
+            .count();
+        assert!(compared * 2 > ledger.rows.len(), "only {compared} compared");
     }
 
     #[test]
     fn gate_failures_catch_divergence_and_shallow_reduction() {
-        let mut report = dpor_measure(1); // everything truncates
-        assert!(!report.gate_failures().is_empty(), "nothing compared");
-        report.rows[0].compared = true;
-        report.rows[0].outcomes_match = false;
-        let failures = report.gate_failures();
+        let mut ledger = Ledger::measure(1); // everything truncates
+        assert!(!ledger.dpor_gate().failures.is_empty(), "nothing compared");
+        let one = |kind: &str| Some(OutcomeSet::from([(kind.to_string(), 0)]));
+        ledger.rows[0].full.outcomes = one("ok");
+        ledger.rows[0].dpor.outcomes = one("deadlock");
+        let failures = ledger.dpor_gate().failures;
         assert!(
-            failures.iter().any(|f| f.contains("diverged")),
+            failures
+                .iter()
+                .any(|f| f.contains("DPOR outcome set diverged")),
             "{failures:?}"
         );
     }
 
     #[test]
     fn dpor_table_has_expected_shape() {
-        let t = dpor_table(DPOR_BUDGET);
+        let t = ledger::reference().dpor_table();
         assert_eq!(t.id, "E-dpor");
         assert_eq!(t.len(), registry::all().len());
         let rendered = t.to_string();

@@ -1,373 +1,230 @@
-//! E-fuse: invisible-step fusion schedule reduction vs the unfused
-//! baseline.
+//! E-fuse: invisible-step fusion against unfused enumeration, plainly
+//! and under DPOR, a view of the [reduction ledger](crate::ledger).
 //!
-//! PR 10's step fusion keeps the running thread moving through ops
-//! that touch no shared variable and no sync object (yields, asserts
-//! whose local-only condition currently holds) instead of opening a
-//! branch point at every multi-enabled state. This experiment measures
-//! what that buys, kernel by kernel, with everything else held still:
-//! dedup and sleep sets off, the same schedule budget on both sides,
-//! fusion the only difference. A second pair of runs repeats the
-//! comparison under source-set DPOR, because the interesting question
-//! for deep kernels is whether fusion's win *composes* with DPOR's
-//! rather than being the same schedules pruned twice.
-//!
-//! The outcome-set oracle is the E-dpor one: `Ok` and `Deadlock` final
-//! states are keyed by their full `state_key` (fusion only reorders
-//! global both-movers, so reachable final states are owed exactly);
-//! aborting outcomes cut execution mid-trace — the machine state at
-//! the cut legitimately varies with where independent invisible ops
-//! sat — so only their display form is compared. Sets are compared
-//! only when both searches completed.
-//!
-//! Like E-dpor, everything here is **deterministic**: schedule counts
-//! are a property of the search, so the CI gate
-//! ([`FuseReport::gate_failures`]) holds on every host. Kernels whose
-//! threads never run an invisible op fuse nothing and show an honest
-//! 1.00x.
+//! The view compares each kernel's unfused and fused searches, with
+//! DPOR off and on, so it shows both what fusion prunes by itself and
+//! what it still removes after DPOR. Its gate holds fusion to
+//! [`FUSE_FLOOR`] on the [`FUSE_GATE_KERNELS`].
 
-use std::collections::BTreeSet;
-
-use lfm_kernels::registry;
-use lfm_sim::{ExploreLimits, ExploreReport, Explorer, Outcome, Program};
 use lfm_study::Table;
 
-/// Schedule budget for the committed `BENCH_explore.json` fuse section
-/// and the CI gate (the E-dpor budget, for comparable rows).
-pub const FUSE_BUDGET: u64 = 100_000;
+use crate::ledger::{verdict, Gate, GateRow, Ledger};
 
 /// Minimum schedule-reduction factor fusion alone must show on the
 /// gate kernels. Below this, fusion is not earning its complexity on
 /// the state spaces it was built for.
 pub const FUSE_FLOOR: f64 = 1.5;
 
-/// The kernels the reduction floor applies to — the two deepest state
+/// The kernels the fusion floor applies to — the two deepest state
 /// spaces, which are also the two with the most invisible ops
 /// (`livelock_retry` yields in its back-off path; `toctou_flag`
 /// re-checks a local-only assert in its retry loop).
 pub const FUSE_GATE_KERNELS: [&str; 2] = ["livelock_retry", "toctou_flag"];
 
-/// One kernel's fused-vs-unfused comparison, plain and under DPOR.
-#[derive(Debug, Clone)]
-pub struct FuseRow {
-    /// Kernel id.
-    pub kernel: &'static str,
-    /// The kernel's bug family.
-    pub family: String,
-    /// Schedules the unfused full enumeration ran (at most the budget).
-    pub base_schedules: u64,
-    /// Whether the unfused search finished exhaustively.
-    pub base_complete: bool,
-    /// Schedules the fused full enumeration ran.
-    pub fused_schedules: u64,
-    /// Whether the fused search finished exhaustively.
-    pub fused_complete: bool,
-    /// Invisible steps the fused search executed without branching.
-    pub fused_steps: u64,
-    /// `base_schedules / fused_schedules` — a lower bound on the true
-    /// reduction when the unfused search truncated.
-    pub reduction: f64,
-    /// Schedules DPOR ran with fusion off.
-    pub dpor_schedules: u64,
-    /// Whether the unfused DPOR search finished exhaustively.
-    pub dpor_complete: bool,
-    /// Schedules DPOR ran with fusion on.
-    pub dpor_fused_schedules: u64,
-    /// Whether the fused DPOR search finished exhaustively.
-    pub dpor_fused_complete: bool,
-    /// `dpor_schedules / dpor_fused_schedules` — what fusion still
-    /// removes after DPOR has already pruned commuting interleavings.
-    pub composed_reduction: f64,
-    /// Whether both plain searches completed, making their outcome
-    /// sets comparable.
-    pub compared: bool,
-    /// `true` when the plain outcome sets agree (vacuously `true` for
-    /// rows that were not compared).
-    pub outcomes_match: bool,
-    /// Whether both DPOR searches completed.
-    pub dpor_compared: bool,
-    /// `true` when the DPOR outcome sets agree.
-    pub dpor_outcomes_match: bool,
-}
-
-/// The full E-fuse measurement.
-#[derive(Debug, Clone)]
-pub struct FuseReport {
-    /// Schedule budget every search was capped at.
-    pub budget: u64,
-    /// Per-kernel rows, in registry order.
-    pub rows: Vec<FuseRow>,
-}
-
-impl FuseReport {
-    /// The row for `kernel`, if that kernel was measured.
-    pub fn row(&self, kernel: &str) -> Option<&FuseRow> {
-        self.rows.iter().find(|r| r.kernel == kernel)
-    }
-
-    /// The CI gate, as human-readable failures (empty means pass):
-    /// every compared outcome set — plain and DPOR — must agree, at
-    /// least one row must actually have been compared, fusion must
-    /// never *increase* a schedule count, and on the
+impl Ledger {
+    /// The fuse gate: every compared outcome set — plain and DPOR —
+    /// must agree, at least one pair must actually have been compared,
+    /// fusion must never *increase* a schedule count, and on the
     /// [`FUSE_GATE_KERNELS`] the fused search must complete with at
     /// least [`FUSE_FLOOR`] reduction and the DPOR composition must
     /// complete without giving any of DPOR's win back.
-    pub fn gate_failures(&self) -> Vec<String> {
+    pub fn fuse_gate(&self) -> Gate {
         let mut failures = Vec::new();
         for r in &self.rows {
-            if !r.outcomes_match {
+            if !r.full.agrees(&r.full_fused) {
                 failures.push(format!(
                     "{}: fused outcome set diverged from the unfused baseline",
                     r.kernel
                 ));
             }
-            if !r.dpor_outcomes_match {
+            if !r.dpor.agrees(&r.dpor_fused) {
                 failures.push(format!(
                     "{}: fused DPOR outcome set diverged from unfused DPOR",
                     r.kernel
                 ));
             }
-            if r.fused_schedules > r.base_schedules {
+            if r.full_fused.schedules > r.full.schedules {
                 failures.push(format!(
                     "{}: fusion increased schedules ({} fused vs {} unfused)",
-                    r.kernel, r.fused_schedules, r.base_schedules
+                    r.kernel, r.full_fused.schedules, r.full.schedules
                 ));
             }
-            if r.dpor_fused_schedules > r.dpor_schedules {
+            if r.dpor_fused.schedules > r.dpor.schedules {
                 failures.push(format!(
                     "{}: fusion increased DPOR schedules ({} fused vs {} unfused)",
-                    r.kernel, r.dpor_fused_schedules, r.dpor_schedules
+                    r.kernel, r.dpor_fused.schedules, r.dpor.schedules
                 ));
             }
         }
-        if !self.rows.iter().any(|r| r.compared || r.dpor_compared) {
+        if !self
+            .rows
+            .iter()
+            .any(|r| r.full.comparable(&r.full_fused) || r.dpor.comparable(&r.dpor_fused))
+        {
             failures.push("no kernel completed both searches; outcome oracle never ran".into());
         }
+        let mut rows = Vec::new();
         for kernel in FUSE_GATE_KERNELS {
             let Some(r) = self.row(kernel) else {
                 failures.push(format!("{kernel}: gate kernel missing from the registry"));
                 continue;
             };
-            if !r.fused_complete {
+            let reduction = r.full.ratio(&r.full_fused);
+            let composed = r.dpor.ratio(&r.dpor_fused);
+            if !r.full_fused.exhaustive() {
                 failures.push(format!(
                     "{}: fused search truncated at budget {} — cannot bound the reduction",
                     r.kernel, self.budget
                 ));
-            } else if r.reduction < FUSE_FLOOR {
+            } else if reduction < FUSE_FLOOR {
                 failures.push(format!(
-                    "{}: reduction {:.2}x below the {FUSE_FLOOR:.1}x floor \
+                    "{}: reduction {reduction:.2}x below the {FUSE_FLOOR:.1}x floor \
                      ({} unfused vs {} fused schedules)",
-                    r.kernel, r.reduction, r.base_schedules, r.fused_schedules
+                    r.kernel, r.full.schedules, r.full_fused.schedules
                 ));
             }
-            if !r.dpor_fused_complete {
+            if !r.dpor_fused.exhaustive() {
                 failures.push(format!(
                     "{}: fused DPOR search truncated at budget {}",
                     r.kernel, self.budget
                 ));
-            } else if r.composed_reduction < 1.0 {
+            } else if composed < 1.0 {
                 failures.push(format!(
-                    "{}: fuse x dpor composition {:.2}x lost ground \
+                    "{}: fuse x dpor composition {composed:.2}x lost ground \
                      ({} dpor vs {} dpor+fuse schedules)",
-                    r.kernel, r.composed_reduction, r.dpor_schedules, r.dpor_fused_schedules
+                    r.kernel, r.dpor.schedules, r.dpor_fused.schedules
                 ));
             }
+            rows.push(GateRow {
+                kernel: r.kernel,
+                schedules: r.full_fused.schedules,
+                counts: format!(
+                    "{} unfused vs {} fused schedules",
+                    r.full.schedules, r.full_fused.schedules
+                ),
+                reductions: format!(
+                    "reduction {}, dpor composition {composed:.2}x",
+                    r.full.reduction(&r.full_fused)
+                ),
+                compared: None,
+            });
         }
-        failures
+        Gate {
+            name: "fuse",
+            rows,
+            failures,
+        }
     }
-}
 
-fn limits(dpor: bool, fuse: bool, max_schedules: u64) -> ExploreLimits {
-    ExploreLimits {
-        max_schedules,
-        dedup_states: false,
-        sleep_sets: false,
-        dpor,
-        fuse,
-        ..ExploreLimits::default()
-    }
-}
-
-type OutcomeSet = BTreeSet<(String, u64)>;
-
-fn explore(program: &Program, dpor: bool, fuse: bool, budget: u64) -> (ExploreReport, OutcomeSet) {
-    let mut set = OutcomeSet::new();
-    let report = Explorer::new(program)
-        .limits(limits(dpor, fuse, budget))
-        .run_with_callback(|exec, outcome| {
-            let keyed = matches!(outcome, Outcome::Ok | Outcome::Deadlock { .. });
-            set.insert((
-                outcome.to_string(),
-                if keyed { exec.state_key() } else { 0 },
-            ));
-        });
-    (report, set)
-}
-
-fn complete(report: &ExploreReport) -> bool {
-    !report.truncated && report.counts.step_limit == 0
-}
-
-/// Runs the E-fuse measurement: unfused vs fused enumeration — plain
-/// and under DPOR — on every kernel's buggy variant at the given
-/// schedule budget.
-pub fn fuse_measure(budget: u64) -> FuseReport {
-    let mut rows = Vec::new();
-    for kernel in registry::all() {
-        let program = kernel.buggy();
-        let (base, base_set) = explore(&program, false, false, budget);
-        let (fused, fused_set) = explore(&program, false, true, budget);
-        let (dpor_base, dpor_base_set) = explore(&program, true, false, budget);
-        let (dpor_fused, dpor_fused_set) = explore(&program, true, true, budget);
-        let base_complete = complete(&base);
-        let fused_complete = complete(&fused);
-        let dpor_complete = complete(&dpor_base);
-        let dpor_fused_complete = complete(&dpor_fused);
-        let compared = base_complete && fused_complete;
-        let dpor_compared = dpor_complete && dpor_fused_complete;
-        rows.push(FuseRow {
-            kernel: kernel.id,
-            family: kernel.family.to_string(),
-            base_schedules: base.schedules_run,
-            base_complete,
-            fused_schedules: fused.schedules_run,
-            fused_complete,
-            fused_steps: fused.stats.fused_steps,
-            reduction: base.schedules_run as f64 / fused.schedules_run.max(1) as f64,
-            dpor_schedules: dpor_base.schedules_run,
-            dpor_complete,
-            dpor_fused_schedules: dpor_fused.schedules_run,
-            dpor_fused_complete,
-            composed_reduction: dpor_base.schedules_run as f64
-                / dpor_fused.schedules_run.max(1) as f64,
-            compared,
-            outcomes_match: !compared || base_set == fused_set,
-            dpor_compared,
-            dpor_outcomes_match: !dpor_compared || dpor_base_set == dpor_fused_set,
-        });
-    }
-    FuseReport { budget, rows }
-}
-
-/// Renders the measurement as the E-fuse table.
-pub fn fuse_table(budget: u64) -> Table {
-    let report = fuse_measure(budget);
-    let mut t = Table::new(
-        "E-fuse",
-        format!(
-            "Invisible-step fusion vs unfused enumeration ({} kernels, budget {})",
-            report.rows.len(),
-            report.budget
-        ),
-        vec![
-            "kernel",
-            "family",
-            "nofuse",
-            "fuse",
-            "reduction",
-            "fused",
-            "dpor",
-            "dpor+fuse",
-            "composed",
-            "outcomes",
-        ],
-    );
-    for r in &report.rows {
-        let gated = FUSE_GATE_KERNELS.contains(&r.kernel);
-        t.row(vec![
-            if gated {
-                format!("{} *", r.kernel)
-            } else {
-                r.kernel.to_string()
-            },
-            r.family.clone(),
-            if r.base_complete {
-                r.base_schedules.to_string()
-            } else {
-                format!("{}+", r.base_schedules)
-            },
-            r.fused_schedules.to_string(),
+    /// Renders the E-fuse view: unfused vs fused, plain and under DPOR.
+    pub fn fuse_table(&self) -> Table {
+        let mut t = Table::new(
+            "E-fuse",
             format!(
-                "{}{:.2}x",
-                if r.base_complete { "" } else { ">=" },
-                r.reduction
+                "Invisible-step fusion vs unfused enumeration ({} kernels, budget {})",
+                self.rows.len(),
+                self.budget
             ),
-            r.fused_steps.to_string(),
-            if r.dpor_complete {
-                r.dpor_schedules.to_string()
-            } else {
-                format!("{}+", r.dpor_schedules)
-            },
-            r.dpor_fused_schedules.to_string(),
-            format!(
-                "{}{:.2}x",
-                if r.dpor_complete { "" } else { ">=" },
-                r.composed_reduction
-            ),
-            if !r.compared && !r.dpor_compared {
-                "(truncated)".to_string()
-            } else if r.outcomes_match && r.dpor_outcomes_match {
-                "identical".to_string()
-            } else {
-                "DIVERGED".to_string()
-            },
-        ]);
+            vec![
+                "kernel",
+                "family",
+                "nofuse",
+                "fuse",
+                "reduction",
+                "fused",
+                "dpor",
+                "dpor+fuse",
+                "composed",
+                "outcomes",
+            ],
+        );
+        for r in &self.rows {
+            let gated = FUSE_GATE_KERNELS.contains(&r.kernel);
+            t.row(vec![
+                format!("{}{}", r.kernel, if gated { " *" } else { "" }),
+                r.family.clone(),
+                r.full.count(),
+                r.full_fused.schedules.to_string(),
+                r.full.reduction(&r.full_fused),
+                r.full_fused.fused_steps.to_string(),
+                r.dpor.count(),
+                r.dpor_fused.schedules.to_string(),
+                r.dpor.reduction(&r.dpor_fused),
+                verdict(&[(&r.full, &r.full_fused), (&r.dpor, &r.dpor_fused)]),
+            ]);
+        }
+        t.note(
+            "all searches run with dedup and sleep sets off so fusion is the only \
+             difference within a pair; `N+` marks a search truncated at the \
+             budget, making the reduction a lower bound; `fused` counts invisible \
+             steps executed without branching (0 means the kernel has no \
+             invisible ops and its honest 1.00x); `composed` is what fusion still \
+             removes after DPOR; `outcomes` compares {outcome kind, final state \
+             for ok/deadlock} sets per pair and only when both sides completed",
+        );
+        t.note(format!(
+            "* CI gate rows: fusion alone must reduce schedules by at least \
+             {FUSE_FLOOR:.1}x and the dpor+fuse composition must never lose \
+             ground; schedule counts are deterministic, so the gate holds on \
+             every host"
+        ));
+        t
     }
-    t.note(
-        "all searches run with dedup and sleep sets off so fusion is the only \
-         difference within a pair; `N+` marks a search truncated at the \
-         budget, making the reduction a lower bound; `fused` counts invisible \
-         steps executed without branching (0 means the kernel has no \
-         invisible ops and its honest 1.00x); `composed` is what fusion still \
-         removes after DPOR; `outcomes` compares {outcome kind, final state \
-         for ok/deadlock} sets per pair and only when both sides completed",
-    );
-    t.note(format!(
-        "* CI gate rows: fusion alone must reduce schedules by at least \
-         {FUSE_FLOOR:.1}x and the dpor+fuse composition must never lose \
-         ground; schedule counts are deterministic, so the gate holds on \
-         every host"
-    ));
-    t
 }
 
 #[cfg(test)]
 mod tests {
+    use lfm_kernels::registry;
+    use lfm_sim::OutcomeSet;
+
     use super::*;
+    use crate::ledger;
 
     #[test]
     fn gate_holds_at_the_reference_budget() {
-        let report = fuse_measure(FUSE_BUDGET);
-        assert_eq!(report.rows.len(), registry::all().len());
-        let failures = report.gate_failures();
-        assert!(failures.is_empty(), "{failures:?}");
+        let ledger = ledger::reference();
+        assert_eq!(ledger.rows.len(), registry::all().len());
+        let gate = ledger.fuse_gate();
+        assert!(gate.failures.is_empty(), "{:?}", gate.failures);
+        assert_eq!(gate.rows.len(), FUSE_GATE_KERNELS.len());
         for kernel in FUSE_GATE_KERNELS {
-            let r = report.row(kernel).expect("gate kernel measured");
-            assert!(r.fused_complete, "{kernel}: fused search truncated");
+            let r = ledger.row(kernel).expect("gate kernel measured");
             assert!(
-                r.reduction >= FUSE_FLOOR,
-                "{kernel}: reduction {:.2}",
-                r.reduction
+                r.full_fused.exhaustive(),
+                "{kernel}: fused search truncated"
             );
-            assert!(r.fused_steps > 0, "{kernel}: nothing fused");
+            let reduction = r.full.ratio(&r.full_fused);
+            assert!(
+                reduction >= FUSE_FLOOR,
+                "{kernel}: reduction {reduction:.2}"
+            );
+            assert!(r.full_fused.fused_steps > 0, "{kernel}: nothing fused");
         }
         // The oracle must actually fire on most kernels: only the very
         // deepest state spaces may outgrow the unfused budget.
-        let compared = report.rows.iter().filter(|r| r.compared).count();
-        assert!(compared * 2 > report.rows.len(), "only {compared} compared");
+        let compared = ledger
+            .rows
+            .iter()
+            .filter(|r| r.full.comparable(&r.full_fused))
+            .count();
+        assert!(compared * 2 > ledger.rows.len(), "only {compared} compared");
         // And the DPOR pairs are cheap enough to always complete.
-        assert!(report.rows.iter().all(|r| r.dpor_compared));
+        assert!(ledger.rows.iter().all(|r| r.dpor.comparable(&r.dpor_fused)));
     }
 
     #[test]
     fn gate_failures_catch_divergence_and_regression() {
-        let mut report = fuse_measure(1); // everything truncates
-        assert!(!report.gate_failures().is_empty(), "nothing compared");
-        report.rows[0].outcomes_match = false;
-        report.rows[1].fused_schedules = report.rows[1].base_schedules + 1;
-        let failures = report.gate_failures();
+        let mut ledger = Ledger::measure(1); // everything truncates
+        assert!(!ledger.fuse_gate().failures.is_empty(), "nothing compared");
+        let one = |kind: &str| Some(OutcomeSet::from([(kind.to_string(), 0)]));
+        ledger.rows[0].full.outcomes = one("ok");
+        ledger.rows[0].full_fused.outcomes = one("deadlock");
+        ledger.rows[1].full_fused.schedules = ledger.rows[1].full.schedules + 1;
+        let failures = ledger.fuse_gate().failures;
         assert!(
-            failures.iter().any(|f| f.contains("diverged")),
+            failures
+                .iter()
+                .any(|f| f.contains("fused outcome set diverged")),
             "{failures:?}"
         );
         assert!(
@@ -378,7 +235,7 @@ mod tests {
 
     #[test]
     fn fuse_table_has_expected_shape() {
-        let t = fuse_table(FUSE_BUDGET);
+        let t = ledger::reference().fuse_table();
         assert_eq!(t.id, "E-fuse");
         assert_eq!(t.len(), registry::all().len());
         let rendered = t.to_string();

@@ -1,4 +1,4 @@
-//! E-dpor and E-fuse: one reduction ledger.
+//! The reduction ledger behind E-dpor and E-fuse.
 //!
 //! Two reductions prune the interleaving search: source-set DPOR keeps
 //! one representative per Mazurkiewicz trace class plus the backtrack
@@ -9,13 +9,16 @@
 //! searches {full enumeration, DPOR} × {unfused, fused}, with dedup and
 //! sleep sets off so the reductions are the only difference, and keeps
 //! each search's schedules, completeness, depth, fused steps and
-//! outcome set. Both experiments are views of it:
+//! outcome set. This module owns the measurement and both
+//! `BENCH_explore.json` sections; the experiments are views of it that
+//! run no search of their own:
 //!
-//! - **E-dpor** compares unfused full enumeration with unfused DPOR;
-//! - **E-fuse** compares unfused with fused, plainly and under DPOR,
-//!   because the question for deep kernels is whether fusion's win
-//!   *composes* with DPOR's rather than pruning the same schedules
-//!   twice.
+//! - **E-dpor** ([`crate::dpor`]) compares unfused full enumeration
+//!   with unfused DPOR;
+//! - **E-fuse** ([`crate::fuse`]) compares unfused with fused, plainly
+//!   and under DPOR, because the question for deep kernels is whether
+//!   fusion's win *composes* with DPOR's rather than pruning the same
+//!   schedules twice.
 //!
 //! Outcome sets come from [`Explorer::run_outcome_set`] and are compared
 //! only when both searches completed. Full enumeration may truncate at
@@ -26,35 +29,21 @@
 //! gates ([`Ledger::dpor_gate`], [`Ledger::fuse_gate`]) hold on every
 //! host, single-core runners included.
 
-use std::cmp::Reverse;
 use std::fmt::Write as _;
+#[cfg(test)]
+use std::sync::OnceLock;
 
 use lfm_kernels::registry;
 use lfm_obs::json;
 use lfm_sim::{ExploreLimits, Explorer, OutcomeSet, Program};
-use lfm_study::Table;
+
+use crate::dpor::DPOR_FLOOR;
+use crate::fuse::FUSE_FLOOR;
 
 /// Schedule budget every ledger search is capped at, for the committed
 /// `BENCH_explore.json` sections and the CI gates. Large enough that
 /// DPOR and the fused searches finish every kernel exhaustively.
 pub const LEDGER_BUDGET: u64 = 100_000;
-
-/// Minimum schedule-reduction factor DPOR must show on the two deepest
-/// kernels. The deepest state spaces are where partial-order reduction
-/// earns its keep; anything under 2x there means the race scan has
-/// effectively degraded to full enumeration.
-pub const DPOR_FLOOR: f64 = 2.0;
-
-/// Minimum schedule-reduction factor fusion alone must show on the
-/// gate kernels. Below this, fusion is not earning its complexity on
-/// the state spaces it was built for.
-pub const FUSE_FLOOR: f64 = 1.5;
-
-/// The kernels the fusion floor applies to — the two deepest state
-/// spaces, which are also the two with the most invisible ops
-/// (`livelock_retry` yields in its back-off path; `toctou_flag`
-/// re-checks a local-only assert in its retry loop).
-pub const FUSE_GATE_KERNELS: [&str; 2] = ["livelock_retry", "toctou_flag"];
 
 /// One search's entry in the ledger.
 #[derive(Debug, Clone)]
@@ -96,23 +85,23 @@ impl Search {
     }
 
     /// `self.schedules / other.schedules`: how much `other` prunes.
-    fn ratio(&self, other: &Search) -> f64 {
+    pub(crate) fn ratio(&self, other: &Search) -> f64 {
         self.schedules as f64 / other.schedules.max(1) as f64
     }
 
     /// Whether both searches completed, making their sets comparable.
-    fn comparable(&self, other: &Search) -> bool {
+    pub(crate) fn comparable(&self, other: &Search) -> bool {
         self.exhaustive() && other.exhaustive()
     }
 
     /// `true` when the outcome sets agree (vacuously when not
     /// comparable).
-    fn agrees(&self, other: &Search) -> bool {
+    pub(crate) fn agrees(&self, other: &Search) -> bool {
         !self.comparable(other) || self.outcomes == other.outcomes
     }
 
     /// The schedule count, `N+` when the search truncated.
-    fn count(&self) -> String {
+    pub(crate) fn count(&self) -> String {
         if self.exhaustive() {
             self.schedules.to_string()
         } else {
@@ -121,7 +110,7 @@ impl Search {
     }
 
     /// `self / other` as a reduction, `>=` when `self` truncated.
-    fn reduction(&self, other: &Search) -> String {
+    pub(crate) fn reduction(&self, other: &Search) -> String {
         let bound = if self.exhaustive() { "" } else { ">=" };
         format!("{bound}{:.2}x", self.ratio(other))
     }
@@ -206,262 +195,6 @@ impl Ledger {
     /// The row for `kernel`, if that kernel was measured.
     pub fn row(&self, kernel: &str) -> Option<&LedgerRow> {
         self.rows.iter().find(|r| r.kernel == kernel)
-    }
-
-    /// The two deepest kernels under unfused DPOR (ties broken by id),
-    /// the rows the DPOR floor applies to.
-    pub fn deepest(&self) -> Vec<&LedgerRow> {
-        let mut rows: Vec<&LedgerRow> = self.rows.iter().collect();
-        rows.sort_by_key(|r| (Reverse(r.dpor.max_depth), r.kernel));
-        rows.truncate(2);
-        rows
-    }
-
-    /// The DPOR gate: every compared row's outcome sets must agree, at
-    /// least one row must actually have been compared, and the two
-    /// deepest kernels must complete under DPOR with at least
-    /// [`DPOR_FLOOR`] reduction.
-    pub fn dpor_gate(&self) -> Gate {
-        let mut failures = Vec::new();
-        for r in &self.rows {
-            if !r.full.agrees(&r.dpor) {
-                failures.push(format!(
-                    "{}: DPOR outcome set diverged from full enumeration",
-                    r.kernel
-                ));
-            }
-        }
-        if !self.rows.iter().any(|r| r.full.comparable(&r.dpor)) {
-            failures.push("no kernel completed both searches; outcome oracle never ran".into());
-        }
-        let mut rows = Vec::new();
-        for r in self.deepest() {
-            let reduction = r.full.ratio(&r.dpor);
-            if !r.dpor.exhaustive() {
-                failures.push(format!(
-                    "{}: DPOR search truncated at budget {} — cannot bound the reduction",
-                    r.kernel, self.budget
-                ));
-            } else if reduction < DPOR_FLOOR {
-                failures.push(format!(
-                    "{}: reduction {reduction:.2}x below the {DPOR_FLOOR:.1}x floor \
-                     ({} full vs {} dpor schedules)",
-                    r.kernel, r.full.schedules, r.dpor.schedules
-                ));
-            }
-            rows.push(GateRow {
-                kernel: r.kernel,
-                schedules: r.dpor.schedules,
-                counts: format!(
-                    "{} full vs {} dpor schedules",
-                    r.full.schedules, r.dpor.schedules
-                ),
-                reductions: format!("reduction {}", r.full.reduction(&r.dpor)),
-                compared: Some(r.full.comparable(&r.dpor)),
-            });
-        }
-        Gate {
-            name: "dpor",
-            rows,
-            failures,
-        }
-    }
-
-    /// The fuse gate: every compared outcome set — plain and DPOR —
-    /// must agree, at least one pair must actually have been compared,
-    /// fusion must never *increase* a schedule count, and on the
-    /// [`FUSE_GATE_KERNELS`] the fused search must complete with at
-    /// least [`FUSE_FLOOR`] reduction and the DPOR composition must
-    /// complete without giving any of DPOR's win back.
-    pub fn fuse_gate(&self) -> Gate {
-        let mut failures = Vec::new();
-        for r in &self.rows {
-            if !r.full.agrees(&r.full_fused) {
-                failures.push(format!(
-                    "{}: fused outcome set diverged from the unfused baseline",
-                    r.kernel
-                ));
-            }
-            if !r.dpor.agrees(&r.dpor_fused) {
-                failures.push(format!(
-                    "{}: fused DPOR outcome set diverged from unfused DPOR",
-                    r.kernel
-                ));
-            }
-            if r.full_fused.schedules > r.full.schedules {
-                failures.push(format!(
-                    "{}: fusion increased schedules ({} fused vs {} unfused)",
-                    r.kernel, r.full_fused.schedules, r.full.schedules
-                ));
-            }
-            if r.dpor_fused.schedules > r.dpor.schedules {
-                failures.push(format!(
-                    "{}: fusion increased DPOR schedules ({} fused vs {} unfused)",
-                    r.kernel, r.dpor_fused.schedules, r.dpor.schedules
-                ));
-            }
-        }
-        if !self
-            .rows
-            .iter()
-            .any(|r| r.full.comparable(&r.full_fused) || r.dpor.comparable(&r.dpor_fused))
-        {
-            failures.push("no kernel completed both searches; outcome oracle never ran".into());
-        }
-        let mut rows = Vec::new();
-        for kernel in FUSE_GATE_KERNELS {
-            let Some(r) = self.row(kernel) else {
-                failures.push(format!("{kernel}: gate kernel missing from the registry"));
-                continue;
-            };
-            let reduction = r.full.ratio(&r.full_fused);
-            let composed = r.dpor.ratio(&r.dpor_fused);
-            if !r.full_fused.exhaustive() {
-                failures.push(format!(
-                    "{}: fused search truncated at budget {} — cannot bound the reduction",
-                    r.kernel, self.budget
-                ));
-            } else if reduction < FUSE_FLOOR {
-                failures.push(format!(
-                    "{}: reduction {reduction:.2}x below the {FUSE_FLOOR:.1}x floor \
-                     ({} unfused vs {} fused schedules)",
-                    r.kernel, r.full.schedules, r.full_fused.schedules
-                ));
-            }
-            if !r.dpor_fused.exhaustive() {
-                failures.push(format!(
-                    "{}: fused DPOR search truncated at budget {}",
-                    r.kernel, self.budget
-                ));
-            } else if composed < 1.0 {
-                failures.push(format!(
-                    "{}: fuse x dpor composition {composed:.2}x lost ground \
-                     ({} dpor vs {} dpor+fuse schedules)",
-                    r.kernel, r.dpor.schedules, r.dpor_fused.schedules
-                ));
-            }
-            rows.push(GateRow {
-                kernel: r.kernel,
-                schedules: r.full_fused.schedules,
-                counts: format!(
-                    "{} unfused vs {} fused schedules",
-                    r.full.schedules, r.full_fused.schedules
-                ),
-                reductions: format!(
-                    "reduction {}, dpor composition {composed:.2}x",
-                    r.full.reduction(&r.full_fused)
-                ),
-                compared: None,
-            });
-        }
-        Gate {
-            name: "fuse",
-            rows,
-            failures,
-        }
-    }
-
-    /// Renders the E-dpor view: unfused full enumeration vs unfused
-    /// DPOR.
-    pub fn dpor_table(&self) -> Table {
-        let deepest: Vec<&'static str> = self.deepest().iter().map(|r| r.kernel).collect();
-        let mut t = Table::new(
-            "E-dpor",
-            format!(
-                "Source-set DPOR vs full enumeration ({} kernels, budget {})",
-                self.rows.len(),
-                self.budget
-            ),
-            vec![
-                "kernel",
-                "family",
-                "depth",
-                "full",
-                "dpor",
-                "reduction",
-                "outcomes",
-            ],
-        );
-        for r in &self.rows {
-            let gated = deepest.contains(&r.kernel);
-            t.row(vec![
-                format!("{}{}", r.kernel, if gated { " *" } else { "" }),
-                r.family.clone(),
-                r.dpor.max_depth.to_string(),
-                r.full.count(),
-                r.dpor.schedules.to_string(),
-                r.full.reduction(&r.dpor),
-                verdict(&[(&r.full, &r.dpor)]),
-            ]);
-        }
-        t.note(
-            "full enumeration and DPOR both run with dedup and sleep sets off; \
-             `N+` marks a search truncated at the budget, making the reduction a \
-             lower bound; `outcomes` compares {outcome kind, final state for \
-             ok/deadlock} sets and only when both searches completed",
-        );
-        t.note(format!(
-            "* CI gate rows (the two deepest kernels): DPOR must complete and \
-             reduce schedules by at least {DPOR_FLOOR:.1}x; schedule counts are \
-             deterministic, so unlike the throughput gates this holds on every \
-             host"
-        ));
-        t
-    }
-
-    /// Renders the E-fuse view: unfused vs fused, plain and under DPOR.
-    pub fn fuse_table(&self) -> Table {
-        let mut t = Table::new(
-            "E-fuse",
-            format!(
-                "Invisible-step fusion vs unfused enumeration ({} kernels, budget {})",
-                self.rows.len(),
-                self.budget
-            ),
-            vec![
-                "kernel",
-                "family",
-                "nofuse",
-                "fuse",
-                "reduction",
-                "fused",
-                "dpor",
-                "dpor+fuse",
-                "composed",
-                "outcomes",
-            ],
-        );
-        for r in &self.rows {
-            let gated = FUSE_GATE_KERNELS.contains(&r.kernel);
-            t.row(vec![
-                format!("{}{}", r.kernel, if gated { " *" } else { "" }),
-                r.family.clone(),
-                r.full.count(),
-                r.full_fused.schedules.to_string(),
-                r.full.reduction(&r.full_fused),
-                r.full_fused.fused_steps.to_string(),
-                r.dpor.count(),
-                r.dpor_fused.schedules.to_string(),
-                r.dpor.reduction(&r.dpor_fused),
-                verdict(&[(&r.full, &r.full_fused), (&r.dpor, &r.dpor_fused)]),
-            ]);
-        }
-        t.note(
-            "all searches run with dedup and sleep sets off so fusion is the only \
-             difference within a pair; `N+` marks a search truncated at the \
-             budget, making the reduction a lower bound; `fused` counts invisible \
-             steps executed without branching (0 means the kernel has no \
-             invisible ops and its honest 1.00x); `composed` is what fusion still \
-             removes after DPOR; `outcomes` compares {outcome kind, final state \
-             for ok/deadlock} sets per pair and only when both sides completed",
-        );
-        t.note(format!(
-            "* CI gate rows: fusion alone must reduce schedules by at least \
-             {FUSE_FLOOR:.1}x and the dpor+fuse composition must never lose \
-             ground; schedule counts are deterministic, so the gate holds on \
-             every host"
-        ));
-        t
     }
 
     /// Appends the `"dpor"` and `"fuse"` sections of the
@@ -551,7 +284,7 @@ pub fn baseline_gate_schedules(doc: &str, gate: &str, kernel: &str) -> Option<u6
 }
 
 /// The `outcomes` column over the compared pairs of one row.
-fn verdict(pairs: &[(&Search, &Search)]) -> String {
+pub(crate) fn verdict(pairs: &[(&Search, &Search)]) -> String {
     if !pairs.iter().any(|(a, b)| a.comparable(b)) {
         "(truncated)".to_string()
     } else if pairs.iter().all(|(a, b)| a.agrees(b)) {
@@ -561,109 +294,10 @@ fn verdict(pairs: &[(&Search, &Search)]) -> String {
     }
 }
 
+/// The ledger at [`LEDGER_BUDGET`], measured once and shared by the
+/// E-dpor and E-fuse tests.
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gates_hold_at_the_reference_budget() {
-        let ledger = Ledger::measure(LEDGER_BUDGET);
-        assert_eq!(ledger.rows.len(), registry::all().len());
-        for gate in [ledger.dpor_gate(), ledger.fuse_gate()] {
-            assert!(
-                gate.failures.is_empty(),
-                "{}: {:?}",
-                gate.name,
-                gate.failures
-            );
-            assert_eq!(gate.rows.len(), 2, "{}", gate.name);
-        }
-        let deepest = ledger.deepest();
-        assert_eq!(deepest.len(), 2);
-        assert_ne!(deepest[0].kernel, deepest[1].kernel);
-        for r in deepest {
-            assert!(r.dpor.exhaustive(), "{}: dpor truncated", r.kernel);
-            let reduction = r.full.ratio(&r.dpor);
-            assert!(
-                reduction >= DPOR_FLOOR,
-                "{}: reduction {reduction:.2}",
-                r.kernel
-            );
-        }
-        for kernel in FUSE_GATE_KERNELS {
-            let r = ledger.row(kernel).expect("gate kernel measured");
-            assert!(
-                r.full_fused.exhaustive(),
-                "{kernel}: fused search truncated"
-            );
-            let reduction = r.full.ratio(&r.full_fused);
-            assert!(
-                reduction >= FUSE_FLOOR,
-                "{kernel}: reduction {reduction:.2}"
-            );
-            assert!(r.full_fused.fused_steps > 0, "{kernel}: nothing fused");
-        }
-        // The oracle must actually fire on most kernels: only the very
-        // deepest state spaces may outgrow full enumeration's budget.
-        let compared = ledger
-            .rows
-            .iter()
-            .filter(|r| r.full.comparable(&r.dpor))
-            .count();
-        assert!(compared * 2 > ledger.rows.len(), "only {compared} compared");
-        let compared = ledger
-            .rows
-            .iter()
-            .filter(|r| r.full.comparable(&r.full_fused))
-            .count();
-        assert!(compared * 2 > ledger.rows.len(), "only {compared} compared");
-        // And the DPOR pairs are cheap enough to always complete.
-        assert!(ledger.rows.iter().all(|r| r.dpor.comparable(&r.dpor_fused)));
-    }
-
-    #[test]
-    fn gates_catch_divergence_and_regression() {
-        let mut ledger = Ledger::measure(1); // everything truncates
-        assert!(!ledger.dpor_gate().failures.is_empty(), "nothing compared");
-        assert!(!ledger.fuse_gate().failures.is_empty(), "nothing compared");
-        let one = |kind: &str| Some(OutcomeSet::from([(kind.to_string(), 0)]));
-        ledger.rows[0].full.outcomes = one("ok");
-        ledger.rows[0].dpor.outcomes = one("deadlock");
-        ledger.rows[0].full_fused.outcomes = one("deadlock");
-        ledger.rows[1].full_fused.schedules = ledger.rows[1].full.schedules + 1;
-        let failures = ledger.dpor_gate().failures;
-        assert!(
-            failures
-                .iter()
-                .any(|f| f.contains("DPOR outcome set diverged")),
-            "{failures:?}"
-        );
-        let failures = ledger.fuse_gate().failures;
-        assert!(
-            failures
-                .iter()
-                .any(|f| f.contains("fused outcome set diverged")),
-            "{failures:?}"
-        );
-        assert!(
-            failures.iter().any(|f| f.contains("increased schedules")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn tables_have_expected_shape() {
-        let ledger = Ledger::measure(LEDGER_BUDGET);
-        for (t, id) in [
-            (ledger.dpor_table(), "E-dpor"),
-            (ledger.fuse_table(), "E-fuse"),
-        ] {
-            assert_eq!(t.id, id);
-            assert_eq!(t.len(), registry::all().len());
-            let rendered = t.to_string();
-            assert!(rendered.contains(" *"), "{id}: gate rows are marked");
-            assert!(rendered.contains("identical"), "{id}");
-            assert!(!rendered.contains("DIVERGED"), "{id}");
-        }
-    }
+pub(crate) fn reference() -> &'static Ledger {
+    static LEDGER: OnceLock<Ledger> = OnceLock::new();
+    LEDGER.get_or_init(|| Ledger::measure(LEDGER_BUDGET))
 }

@@ -12,6 +12,8 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
+pub mod dpor;
+pub mod fuse;
 pub mod ledger;
 pub mod obs;
 pub mod par;
@@ -20,9 +22,9 @@ pub mod serve;
 pub mod snapshot;
 
 pub use chaos::{chaos_comparison, chaos_table, ChaosRow};
-pub use ledger::{
-    baseline_gate_schedules, Ledger, DPOR_FLOOR, FUSE_FLOOR, FUSE_GATE_KERNELS, LEDGER_BUDGET,
-};
+pub use dpor::DPOR_FLOOR;
+pub use fuse::{FUSE_FLOOR, FUSE_GATE_KERNELS};
+pub use ledger::{baseline_gate_schedules, Ledger, LEDGER_BUDGET};
 pub use obs::{obs_json, obs_measure, obs_table, ObsReport, ObsRow, OBS_BUDGET, OBS_TARGET_PCT};
 pub use par::{par_scaling, par_table, ParRow, ParScaling};
 pub use perf::{
